@@ -232,6 +232,13 @@ def _load_endos(q: Quandle, source: str):
         return morphisms.endomorphisms(q, cap=search_cap())
     with open(source, encoding="utf-8") as fh:
         images = json.loads(fh.read())
+    if not isinstance(images, list):
+        raise ValueError(f"{source}: expected a JSON list of images")
+    for img in images:
+        if not (isinstance(img, list) and len(img) == q.m and all(
+                type(v) is int and 0 <= v < q.m for v in img)):
+            raise ValueError(f"{source}: image {img} is not a list of {q.m} "
+                             f"integers in 0..{q.m - 1}")
     return [morphisms.QuandleMap(q, q, tuple(img)) for img in images]
 
 

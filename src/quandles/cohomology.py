@@ -197,8 +197,10 @@ def cochain_slice(q: Quandle, n: int, rho=None) -> CochainComplexSlice:
 def cohomology_Q(q: Quandle, n: int, coeff) -> AbelianGroupSummary:
     """H^n of the A-valued cochain complex.
 
-    Over a field: dim ker(delta_out) - rank(delta_in). Over Z: the same free
-    rank (ranks over Q) plus the invariant factors > 1 of delta_in as torsion.
+    Over a field: dim ker(delta_out) - rank(delta_in). Over Z: one Smith form
+    of delta_in gives both its rank (the number of invariant factors) and the
+    torsion (the factors > 1); the free rank is c_n - rank(delta_out) minus
+    that rank.
     """
     coeff = coeff if isinstance(coeff, Coeff) else Coeff.parse(coeff)
     sl = cochain_slice(q, n)
@@ -206,9 +208,9 @@ def cohomology_Q(q: Quandle, n: int, coeff) -> AbelianGroupSummary:
     d_out = [list(r) for r in sl.delta_out]
     c_n = len(sl.basis)
     if coeff.kind == "Z":
-        free = c_n - linalg.rank(d_out) - linalg.rank(d_in)
-        torsion = tuple(d for d in linalg.smith_normal_form(d_in) if d > 1)
-        return AbelianGroupSummary(coeff, free, torsion)
+        factors = linalg.smith_normal_form(d_in)
+        free = c_n - linalg.rank(d_out) - len(factors)
+        return AbelianGroupSummary(coeff, free, tuple(d for d in factors if d > 1))
     p = coeff.p if coeff.kind == "Zp" else None
     dim = c_n - linalg.rank(d_out, p) - linalg.rank(d_in, p)
     return AbelianGroupSummary(coeff, dim)
@@ -234,13 +236,10 @@ def symmetric_cohomology(q: Quandle, rho, n: int, coeff) -> AbelianGroupSummary:
     c_n = len(sl.basis)
 
     if coeff.kind != "Z":
+        # cocycles ker S, modulo the coboundaries im(delta_in) that S kills
         p = coeff.p if coeff.kind == "Zp" else None
-        cocycles = linalg.nullspace(stacked, p)
-        if not cocycles:
-            return AbelianGroupSummary(coeff, 0)
-        joint = [row[:] + [vec[i] for vec in cocycles] for i, row in enumerate(d_in)]
-        dim = linalg.rank(joint, p) - linalg.rank(d_in, p)
-        return AbelianGroupSummary(coeff, dim)
+        exact = linalg.rank(d_in, p) - linalg.rank(linalg.mat_mul(stacked, d_in), p)
+        return AbelianGroupSummary(coeff, c_n - linalg.rank(stacked, p) - exact)
 
     cocycles = linalg.integer_kernel_basis(stacked, cols=c_n)
     z = len(cocycles)
@@ -307,11 +306,6 @@ def is_2cocycle(q: Quandle, phi: Cocycle2) -> bool:
                 if not is_zero(defect):
                     return False
     return True
-
-
-def cocycle_vector(q: Quandle, phi: Cocycle2):
-    """phi flattened over the non-degenerate pair basis."""
-    return [phi.values[x][y] for (x, y) in tuple_basis(q, 2)]
 
 
 def two_cocycle_basis(q: Quandle):

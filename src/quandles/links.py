@@ -173,9 +173,12 @@ class LinkingGraph:
     def from_json(cls, text: str) -> "LinkingGraph":
         import json
         data = json.loads(text)
-        graph = cls(tuple(tuple(r) for r in data["weights"]))
-        if graph.m != data["m"]:
-            raise ValueError("m field does not match weight matrix size")
+        weights = data.get("weights") if isinstance(data, dict) else None
+        if not isinstance(weights, list) or not all(isinstance(r, list) for r in weights):
+            raise ValueError('linking graph JSON needs a "weights" field: a list of rows')
+        graph = cls(tuple(tuple(r) for r in weights))
+        if graph.m != data.get("m"):
+            raise ValueError("m field is missing or does not match weight matrix size")
         return graph
 
 

@@ -27,6 +27,8 @@ class QuandleMap:
     def verify(self) -> bool:
         s, t = self.source.table, self.target.table
         f = self.image
+        if len(f) != self.source.m or not all(0 <= v < self.target.m for v in f):
+            return False
         return all(f[s[x][y]] == t[f[x]][f[y]]
                    for x in range(self.source.m) for y in range(self.source.m))
 

@@ -90,9 +90,12 @@ class Quandle:
     @classmethod
     def from_json(cls, text: str) -> "Quandle":
         data = json.loads(text)
-        q = cls(data["table"])
-        if q.m != data["order"]:
-            raise ValueError("order field does not match table size")
+        table = data.get("table") if isinstance(data, dict) else None
+        if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
+            raise ValueError('quandle JSON needs a "table" field: a list of rows')
+        q = cls(table)
+        if q.m != data.get("order"):
+            raise ValueError("order field is missing or does not match table size")
         return q
 
 
@@ -102,7 +105,7 @@ def _validate(table) -> None:
         if len(row) != m:
             raise AxiomError("shape", x, f"row {x} has length {len(row)}, expected {m}")
         for y, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < m:
+            if type(v) is not int or not 0 <= v < m:  # bool is not an entry
                 raise AxiomError("range", (x, y), f"entry {v} at ({x},{y}) outside 0..{m - 1}")
     for x in range(m):
         if table[x][x] != x:
@@ -155,15 +158,3 @@ def p_quandle(n: int, sigma: Permutation) -> Quandle:
         row[0] = sigma(x) if x else 0
         table.append(row)
     return Quandle(table)
-
-
-def bar_op(q: Quandle, x: int, y: int) -> int:
-    return q.bar(x, y)
-
-
-def column_perm(q: Quandle, y: int) -> tuple:
-    return q.column_perm(y)
-
-
-def is_abelian(q: Quandle) -> bool:
-    return q.is_abelian()

@@ -144,6 +144,30 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_malformed_json_inputs_are_one_line_errors(capsys, tmp_path):
+    cases = [
+        ("verify", {"order": 2}),
+        ("verify", {"order": 2, "table": [[0, 0], [True, 1]]}),
+        ("synth", {"m": 2}),
+    ]
+    for command, data in cases:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == "", data
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_quiver_endos_are_checked(capsys, tmp_path):
+    endos_path = tmp_path / "endos.json"
+    for images in ([[0, 1]], [[0, 1, 2, 3]], [[0, 1, 3]], [[0, 1, True]], [[0, 1, -1]],
+                   [0, 1, 2], {"a": 1}):
+        endos_path.write_text(json.dumps(images))
+        code, out, err = run(capsys, "quiver", HOPF, "T 3", "--endos", str(endos_path))
+        assert code == 1 and out == "", images
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_search_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("QUANDLE_SEARCH_CAP", "3")
     code, _, err = run(capsys, "homs", "T 3", "T 3")

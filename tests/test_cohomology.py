@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -225,13 +226,24 @@ def test_symmetric_cohomology_matches_brute_force_mod2(q, rho):
 
 
 def test_symmetric_relations_rows_respected_by_kernel():
-    # every cochain in the computed cocycle space vanishes on each relation row
+    # the cochains over GF(2) that delta_out and every relation row kill,
+    # counted one by one, number 2^(c_n - rank S)
     sl = cochain_slice(P3, 2, (0, 2, 1))
     stacked = [list(r) for r in sl.delta_out] + [list(r) for r in sl.relations]
-    kernel = linalg.nullspace(stacked, 2)
-    for vec in kernel:
-        for row in sl.relations:
-            assert sum(r * v for r, v in zip(row, vec)) % 2 == 0
+    c_n = len(sl.basis)
+    assert c_n == 6
+    killed = sum(
+        all(sum(r * v for r, v in zip(row, vec)) % 2 == 0 for row in stacked)
+        for vec in product((0, 1), repeat=c_n))
+    assert killed == 2 ** (c_n - linalg.rank(stacked, 2))
+
+
+def test_slice_with_nonzero_composite_is_rejected():
+    sl = cochain_slice(P3, 2)
+    i = next(i for i, row in enumerate(sl.delta_in) if any(row))
+    bad_row = tuple(v + (k == i) for k, v in enumerate(sl.delta_out[0]))
+    with pytest.raises(AssertionError):
+        replace(sl, delta_out=(bad_row,) + sl.delta_out[1:])
 
 
 def test_coeff_parsing():

@@ -2,23 +2,50 @@ import math
 import random
 
 import pytest
+from sympy import GF, QQ, ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
+from quandles import cochain_slice, dihedral, p_quandle, parse_cycles
 from quandles.linalg import (
     in_column_span,
     integer_kernel_basis,
     is_zero_matrix,
     mat_mul,
-    nullspace,
     rank,
     smith_normal_form,
     transpose,
 )
 
 
+def sympy_factors(a):
+    """Nonzero invariant factors from sympy, in divisibility order."""
+    return sorted(abs(int(d)) for d in invariant_factors(Matrix(a), domain=ZZ) if d)
+
+
+def sympy_rank(a, p=None):
+    return DomainMatrix.from_list(a, ZZ).convert_to(QQ if p is None else GF(p)).rank()
+
+
+def random_matrix(rng, rows, cols, pool):
+    return [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+
+
 def test_mat_mul():
     assert mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
     with pytest.raises(ValueError):
         mat_mul([[1, 2]], [[1, 2]])
+
+
+def test_mat_mul_matches_the_definition_on_sparse_matrices():
+    rng = random.Random(5)
+    for _ in range(50):
+        n, k, m = (rng.randint(1, 6) for _ in range(3))
+        a = random_matrix(rng, n, k, [0, 0, 0, 1, -1, 2, 7])
+        b = random_matrix(rng, k, m, [0, 0, 0, 1, -1, -2, 3])
+        expected = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+                    for i in range(n)]
+        assert mat_mul(a, b) == expected
 
 
 def test_rank_over_q_and_modular():
@@ -28,6 +55,9 @@ def test_rank_over_q_and_modular():
     assert rank([[2, 0], [0, 2]], p=2) == 0
     assert rank([[2, 0], [0, 3]], p=3) == 1
     assert rank([[0, 0], [0, 0]]) == 0
+    # the row (2, 0) constrains nothing over GF(2) but has rank 1 over Q
+    assert rank([[2, 0]], p=2) == 0
+    assert rank([[2, 0]]) == 1
 
 
 def test_smith_normal_form_known_values():
@@ -66,6 +96,33 @@ def test_smith_normal_form_random_unimodular_sandwich():
             assert b % a == 0
 
 
+# pools without +-1 leave the whole matrix to the dense core
+POOLS = ([0, 0, 1, -1, 2], [0, 0, 0, 1, -1, 2, -2, 3], [0, 2, -2, 4, 6], [0, 0, 3, -6, 9, 4])
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_smith_normal_form_and_rank_match_sympy(pool):
+    rng = random.Random(sum(pool) + len(pool))
+    for _ in range(40):
+        a = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), pool)
+        assert smith_normal_form(a) == sympy_factors(a)
+        for p in (None, 2, 3, 5):
+            assert rank(a, p) == sympy_rank(a, p)
+
+
+@pytest.mark.parametrize("q", [dihedral(4), dihedral(5),
+                               p_quandle(4, parse_cycles("(1 2 3 4)", 4))])
+def test_coboundaries_match_sympy(q):
+    sl = cochain_slice(q, 3)
+    for delta in (sl.delta_in, sl.delta_out):
+        d = [list(r) for r in delta]
+        assert smith_normal_form(d) == sympy_factors(d)
+        for p in (None, 2, 3, 5):
+            assert rank(d, p) == sympy_rank(d, p)
+    if q == dihedral(5):
+        assert [f for f in smith_normal_form([list(r) for r in sl.delta_out]) if f > 1] == [5]
+
+
 def test_integer_kernel_basis_is_saturated():
     basis = integer_kernel_basis([[2, -2]])
     assert len(basis) == 1
@@ -82,15 +139,6 @@ def test_integer_kernel_basis_is_saturated():
     assert len(integer_kernel_basis([], cols=3)) == 3
     with pytest.raises(ValueError):
         integer_kernel_basis([])
-
-
-def test_nullspace_mod_p_sees_vanishing_relations():
-    # the row (2, 0) constrains nothing over GF(2) but kills x over Q
-    assert len(nullspace([[2, 0]], p=2)) == 2
-    assert len(nullspace([[2, 0]])) == 1
-    for vec in nullspace([[1, 2, 3], [0, 1, 1]], p=5):
-        assert all(sum(r * v for r, v in zip(row, vec)) % 5 == 0
-                   for row in [[1, 2, 3], [0, 1, 1]])
 
 
 def test_in_column_span():

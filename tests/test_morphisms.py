@@ -166,6 +166,13 @@ def test_quandle_map_compose():
     assert g.compose(f).image == (1, 1, 1)
 
 
+def test_quandle_map_verify_rejects_wrong_length_and_range():
+    assert QuandleMap(P3, P3, (0, 1, 2)).verify()
+    assert not QuandleMap(P3, P3, (0, 1)).verify()
+    assert not QuandleMap(P3, P3, (0, 1, 2, 3)).verify()
+    assert not QuandleMap(P3, P3, (0, 1, 3)).verify()
+
+
 def test_endomorphisms_alias():
     assert [f.image for f in endomorphisms(P3)] == [f.image for f in homs(P3, P3)]
 

@@ -59,6 +59,16 @@ def test_from_table_rejects_out_of_range():
     with pytest.raises(AxiomError) as exc:
         from_table([[0, 5], [1, 1]])
     assert exc.value.axiom == "range"
+    with pytest.raises(AxiomError) as exc:
+        from_table([[0, 0], [True, 1]])
+    assert exc.value.axiom == "range" and exc.value.witness == (1, 0)
+
+
+def test_from_json_needs_a_table():
+    for text in ('{"order": 2}', '[[0, 0], [1, 1]]', '{"order": 2, "table": 5}',
+                 '{"table": [[0, 0], [1, 1]]}'):
+        with pytest.raises(ValueError):
+            Quandle.from_json(text)
 
 
 def test_p_quandle_examples():
