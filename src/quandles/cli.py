@@ -21,11 +21,20 @@ from .permutations import parse_cycles
 from .quandle import Quandle, dihedral, p_quandle, trivial
 
 
+def _parse_file(path: str, parse):
+    """parse(text of the file), with the path in front of any ValueError message."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_quandle(source: str) -> Quandle:
     """A quandle from a JSON file path or a T/R/P constructor expression."""
     if os.path.isfile(source):
-        with open(source, encoding="utf-8") as fh:
-            return Quandle.from_json(fh.read())
+        return _parse_file(source, Quandle.from_json)
     fields = source.split(None, 2)
     if not fields:
         raise ValueError("empty quandle argument")
@@ -42,8 +51,7 @@ def load_quandle(source: str) -> Quandle:
 
 
 def load_diagram(path: str) -> links.LinkDiagram:
-    with open(path, encoding="utf-8") as fh:
-        return links.parse_diagram(fh.read())
+    return _parse_file(path, links.parse_diagram)
 
 
 def parse_cycles_0based(text: str, m: int) -> tuple:
@@ -169,7 +177,7 @@ def _cmd_poly(args) -> int:
 
 def _cmd_goodinv(args) -> int:
     q = load_quandle(args.quandle)
-    found = invariants.good_involutions(q)
+    found = invariants.good_involutions(q, cap=search_cap())
     payload = {"count": len(found), "involutions": [list(s.rho) for s in found]}
     lines = [f"{len(found)} good involutions"]
     lines += [format_cycles_0based(s.rho) for s in found]
@@ -211,8 +219,7 @@ def _cmd_lk(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.graph, encoding="utf-8") as fh:
-        graph = links.LinkingGraph.from_json(fh.read())
+    graph = _parse_file(args.graph, links.LinkingGraph.from_json)
     d = links.synthesize_link(graph)
     payload = {"arcs": d.n_arcs, "crossings": len(d.crossings),
                "components": d.n_components, "text": d.to_text()}
@@ -230,8 +237,7 @@ def _cmd_synth(args) -> int:
 def _load_endos(q: Quandle, source: str):
     if source == "all":
         return morphisms.endomorphisms(q, cap=search_cap())
-    with open(source, encoding="utf-8") as fh:
-        images = json.loads(fh.read())
+    images = _parse_file(source, json.loads)
     if not isinstance(images, list):
         raise ValueError(f"{source}: expected a JSON list of images")
     for img in images:

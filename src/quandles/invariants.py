@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .limits import Budget
 from .permutations import Permutation
 from .quandle import Quandle
 
@@ -123,12 +124,14 @@ def _good_involution_defect(q: Quandle, rho):
     return None
 
 
-def _involutions(m: int):
-    """All involutive self-maps of {0..m-1}, identity included, sorted."""
+def _involutions(m: int, budget: Budget):
+    """All involutive self-maps of {0..m-1}, identity included, sorted.
+    Each involution built spends one node of the budget."""
     out = []
 
     def build(remaining, image):
         if not remaining:
+            budget.spend()
             out.append(tuple(image))
             return
         x = remaining[0]
@@ -143,10 +146,11 @@ def _involutions(m: int):
     return sorted(out)
 
 
-def good_involutions(q: Quandle):
-    """All good involutions of q, found by filtering every involution of the set."""
+def good_involutions(q: Quandle, cap: int | None = None):
+    """All good involutions of q, found by filtering every involution of the
+    set; an "involution" Budget with the given cap counts the involutions."""
     found = []
-    for rho in _involutions(q.m):
+    for rho in _involutions(q.m, Budget("involution", cap)):
         if _good_involution_defect(q, rho) is None:
             found.append(SymmetricQuandle(q, rho))
     return found

@@ -8,6 +8,12 @@ which may still pass over other strands). Planarity is not checked.
 
 Text format (.lnk): one crossing per line "X <under_in> <over> <under_out> <+|->",
 free loops "O <arc>", comments "#".
+
+Colorings are one solver problem (see solve.py) with a constraint per
+crossing. The crossing rule propagates forward (under_in and over give
+under_out) and backward (under_out and over give under_in, since quandle
+columns are bijections). The search branches first on the arcs whose colors
+determine the most other arcs.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .limits import SearchCapError, search_cap
+from .limits import Budget
 from .quandle import Quandle
+from .solve import greedy_order, solve
 
 
 class DiagramError(ValueError):
@@ -155,6 +162,10 @@ class LinkingGraph:
         for i, row in enumerate(w):
             if len(row) != m:
                 raise ValueError("weight matrix must be square")
+            for j, v in enumerate(row):
+                if type(v) is not int:  # bool is not a weight
+                    raise ValueError(f"weight {v!r} at ({i},{j}) is not an integer")
+        for i, row in enumerate(w):
             if row[i] != 0:
                 raise ValueError("diagonal weights must be zero")
             for j in range(m):
@@ -226,57 +237,23 @@ class Coloring:
         return True
 
 
-def colorings(d: LinkDiagram, q: Quandle, cap: int | None = None):
-    """All colorings, by backtracking with crossing-rule propagation,
-    sorted by color tuple."""
-    budget = search_cap(cap)
-    nodes = 0
-    color = [None] * d.n_arcs
-    by_arc = [[] for _ in range(d.n_arcs)]
-    for c in d.crossings:
-        for a in {c.under_in, c.over, c.under_out}:
-            by_arc[a].append(c)
-    out = []
+def colorings(d: LinkDiagram, q: Quandle, cap: int | None = None,
+              budget: Budget | None = None):
+    """All colorings, sorted by color tuple.
 
-    def propagate(queue, trail) -> bool:
-        while queue:
-            c = queue.pop()
-            ci, co, cu = color[c.under_in], color[c.over], color[c.under_out]
-            if ci is None or co is None:
-                continue
-            val = q.op(ci, co) if c.sign > 0 else q.bar(ci, co)
-            if cu is None:
-                color[c.under_out] = val
-                trail.append(c.under_out)
-                queue.extend(by_arc[c.under_out])
-            elif cu != val:
-                return False
-        return True
-
-    def assign(arc, value, trail) -> bool:
-        color[arc] = value
-        trail.append(arc)
-        return propagate(list(by_arc[arc]), trail)
-
-    def search():
-        nonlocal nodes
-        arc = next((a for a in range(d.n_arcs) if color[a] is None), None)
-        if arc is None:
-            out.append(Coloring(tuple(color)))
-            return
-        for value in q.elements:
-            nodes += 1
-            if nodes > budget:
-                raise SearchCapError(f"coloring search exceeded {budget} nodes")
-            trail = []
-            if assign(arc, value, trail):
-                search()
-            for a in trail:
-                color[a] = None
-
-    search()
-    out.sort(key=lambda s: s.colors)
-    return out
+    One solver constraint per crossing: under_out = T[under_in][over] with T
+    the quandle table at a positive crossing and its inverse columns at a
+    negative one. The search branches in greedy_order and propagates each
+    crossing forward and backward. Nodes are counted in ``budget`` (a new
+    "coloring" Budget with the given cap when None).
+    """
+    budget = budget or Budget("coloring", cap)
+    op, bar = q.table, q.bar_table
+    constraints = [(c.under_in, c.over, c.under_out) + ((op, bar) if c.sign > 0 else (bar, op))
+                   for c in d.crossings]
+    found = solve(d.n_arcs, q.m, constraints, budget,
+                  order=greedy_order(d.n_arcs, constraints))
+    return [Coloring(colors) for colors in sorted(found)]
 
 
 def synthesize_link(g: LinkingGraph, edge_order=None) -> LinkDiagram:

@@ -1,19 +1,23 @@
 """Quandle homomorphisms: enumeration, Aut/Inn groups, isomorphism, Hom quandles.
 
-The hom search assigns images in element order and prunes on every operation
-constraint whose three participants are already assigned, so the returned
-lists are complete and lexicographically sorted by image tuple.
+The hom search is one solver problem (see solve.py): a constraint
+f(a*b) = f(a)*f(b) for each pair a != b, propagated forward through Y's table
+and backward through its inverse columns. It branches on f(0), f(1), ... in
+that order, trying images in increasing order, so the returned lists are
+complete and lexicographically sorted by image tuple, and the isomorphism
+found first is the lexicographically first one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .limits import SearchCapError, search_cap
+from .limits import Budget
 from .quandle import Quandle
+from .solve import solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuandleMap:
     """A map between quandles satisfying f(x*y) = f(x)*f(y)."""
 
@@ -97,70 +101,21 @@ class FiniteGroupTable:
                    for a in range(self.order) for b in range(self.order))
 
 
-@dataclass
-class _Budget:
-    cap: int
-    nodes: int = field(default=0)
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.cap:
-            raise SearchCapError(f"hom search exceeded {self.cap} nodes")
-
-
-def _search(x: Quandle, y: Quandle, bijective: bool, budget: _Budget):
-    """Backtracking enumeration of homs X -> Y in lex order of image tuples."""
-    m = x.m
-    sx, ty = x.table, y.table
-    # pairs (a, b) with a, b < k and a*b == k, checkable once f(k) is set
-    hit = [[] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            c = sx[a][b]
-            if c > max(a, b):
-                hit[c].append((a, b))
-    f = [0] * m
-    used = [False] * (y.m if bijective else 0)
-    out = []
-
-    def consistent(k: int) -> bool:
-        fk = f[k]
-        for a in range(k + 1):
-            c = sx[a][k]
-            if c <= k and f[c] != ty[f[a]][fk]:
-                return False
-            c = sx[k][a]
-            if c <= k and f[c] != ty[fk][f[a]]:
-                return False
-        for a, b in hit[k]:
-            if fk != ty[f[a]][f[b]]:
-                return False
-        return True
-
-    def extend(k: int) -> None:
-        if k == m:
-            out.append(QuandleMap(x, y, tuple(f)))
-            return
-        for v in range(y.m):
-            if bijective and used[v]:
-                continue
-            budget.spend()
-            f[k] = v
-            if consistent(k):
-                if bijective:
-                    used[v] = True
-                extend(k + 1)
-                if bijective:
-                    used[v] = False
-        f[k] = 0
-
-    extend(0)
-    return out
+def _search(x: Quandle, y: Quandle, cap: int | None, bijective: bool = False,
+            limit: int | None = None):
+    """Homs X -> Y in lex order of image tuples, through one solver constraint
+    f(a*b) = f(a)*f(b) per pair a != b, branching on f(0), f(1), ..."""
+    sx, ty, by = x.table, y.table, y.bar_table
+    constraints = [(a, b, sx[a][b], ty, by)
+                   for a in range(x.m) for b in range(x.m) if a != b]
+    found = solve(x.m, y.m, constraints, Budget("hom", cap), distinct=bijective,
+                  limit=limit)
+    return [QuandleMap(x, y, image) for image in found]
 
 
 def homs(x: Quandle, y: Quandle, cap: int | None = None):
     """All quandle homomorphisms X -> Y, sorted by image tuple."""
-    return _search(x, y, bijective=False, budget=_Budget(search_cap(cap)))
+    return _search(x, y, cap)
 
 
 def endomorphisms(q: Quandle, cap: int | None = None):
@@ -168,11 +123,10 @@ def endomorphisms(q: Quandle, cap: int | None = None):
 
 
 def is_isomorphic(x: Quandle, y: Quandle, cap: int | None = None) -> QuandleMap | None:
-    """A bijective homomorphism X -> Y if one exists, else None."""
+    """The lexicographically first bijective homomorphism X -> Y, else None."""
     if x.m != y.m:
         return None
-    budget = _Budget(search_cap(cap))
-    found = _search(x, y, bijective=True, budget=budget)
+    found = _search(x, y, cap, bijective=True, limit=1)
     return found[0] if found else None
 
 
@@ -193,8 +147,7 @@ def _group_from_maps(maps):
 
 def automorphism_group(q: Quandle, cap: int | None = None):
     """All bijective endomorphisms with their composition table."""
-    budget = _Budget(search_cap(cap))
-    maps = _search(q, q, bijective=True, budget=budget)
+    maps = _search(q, q, cap, bijective=True)
     return maps, _group_from_maps(maps)
 
 

@@ -36,7 +36,8 @@ class Quandle:
         return self.table[x][y]
 
     @cached_property
-    def _bar_table(self):
+    def bar_table(self) -> tuple:
+        """The inverse columns: bar_table[x][y] = bar(x, y)."""
         m = len(self.table)
         bar = [[0] * m for _ in range(m)]
         for z in range(m):
@@ -46,7 +47,7 @@ class Quandle:
 
     def bar(self, x: int, y: int) -> int:
         """The unique z with z*y = x."""
-        return self._bar_table[x][y]
+        return self.bar_table[x][y]
 
     def column_perm(self, y: int) -> tuple:
         """The bijection x -> x*y as an image tuple on {0..m-1}."""

@@ -158,6 +158,34 @@ def test_malformed_json_inputs_are_one_line_errors(capsys, tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_file_errors_name_the_file(capsys, tmp_path):
+    cases = [
+        ("synth", "g.json", {"m": 2, "weights": [[0, "x"], ["x", 0]]}, "is not an integer"),
+        ("synth", "g.json", {"m": 2, "weights": [[0, True], [True, 0]]}, "is not an integer"),
+        ("synth", "g.json", {"m": 2}, '"weights"'),
+        ("verify", "q.json", {"order": 2}, '"table"'),
+        ("verify", "q.json", {"order": 2, "table": [[0, 0], [0, 1]]}, "column"),
+    ]
+    for command, name, data, what in cases:
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out == "", data
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert what in err, err
+    path = tmp_path / "bad.lnk"
+    path.write_text("X 0 1\n")
+    code, _, err = run(capsys, "color", str(path), "T 2")
+    assert code == 1 and err == f"error: {path}: line 1: cannot parse 'X 0 1'\n"
+
+
+def test_goodinv_honours_the_search_cap(capsys, monkeypatch):
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "1000")
+    code, out, err = run(capsys, "goodinv", "T 13")
+    assert code == 1 and out == ""
+    assert err == "error: involution search exceeded 1000 nodes\n"
+
+
 def test_quiver_endos_are_checked(capsys, tmp_path):
     endos_path = tmp_path / "endos.json"
     for images in ([[0, 1]], [[0, 1, 2, 3]], [[0, 1, 3]], [[0, 1, True]], [[0, 1, -1]],

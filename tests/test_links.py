@@ -96,6 +96,9 @@ def test_linking_graph_validation():
         LinkingGraph(((0, 1), (2, 0)))
     with pytest.raises(ValueError):
         LinkingGraph(((1, 0), (0, 1)))
+    for bad in ("x", True, 1.0, None):
+        with pytest.raises(ValueError, match="not an integer"):
+            LinkingGraph(((0, bad), (bad, 0)))
     g = LinkingGraph(((0, -3), (-3, 0)))
     assert LinkingGraph.from_json(g.to_json()) == g
 
