@@ -237,21 +237,18 @@ class Coloring:
         return True
 
 
-def colorings(d: LinkDiagram, q: Quandle, cap: int | None = None,
-              budget: Budget | None = None):
+def colorings(d: LinkDiagram, q: Quandle, cap: int | None = None):
     """All colorings, sorted by color tuple.
 
     One solver constraint per crossing: under_out = T[under_in][over] with T
     the quandle table at a positive crossing and its inverse columns at a
     negative one. The search branches in greedy_order and propagates each
-    crossing forward and backward. Nodes are counted in ``budget`` (a new
-    "coloring" Budget with the given cap when None).
+    crossing forward and backward.
     """
-    budget = budget or Budget("coloring", cap)
     op, bar = q.table, q.bar_table
     constraints = [(c.under_in, c.over, c.under_out) + ((op, bar) if c.sign > 0 else (bar, op))
                    for c in d.crossings]
-    found = solve(d.n_arcs, q.m, constraints, budget,
+    found = solve(d.n_arcs, q.m, constraints, Budget("coloring", cap),
                   order=greedy_order(d.n_arcs, constraints))
     return [Coloring(colors) for colors in sorted(found)]
 

@@ -40,7 +40,7 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
     order = list(range(n_vars)) if order is None else list(order)
     watch = _watch_lists(n_vars, constraints)
     val = [-1] * n_vars
-    used = [False] * (n + 1)  # only set when distinct; used[-1] is a spare slot
+    used = [False] * n  # only set when distinct
     trail = []  # variables set by propagation, in order
 
     def propagate(v: int, val=val, watch=watch, trail=trail) -> bool:
@@ -66,44 +66,42 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
                 pending.append(target)
         return True
 
-    if not order:
-        return [()]
     out = []
     spend, depth = budget.spend, len(order)
-    # frames: (position in order, values left to try, trail length on entry);
-    # the last value, n, only undoes the frame's assignments and pops it
-    frames = [(0, iter(range(n + 1)), 0)]
-    while frames:
-        pos, values, mark = frames[-1]
-        v = order[pos]
-        for a in values:
-            if len(trail) > mark:
-                for w in trail[mark:]:
-                    used[val[w]] = False
-                    val[w] = -1
-                del trail[mark:]
-            # v itself is not on the trail: each value overwrites the last
-            used[val[v]] = False
-            if a == n:
-                val[v] = -1
-                frames.pop()
-                break
+
+    def extend(pos: int, val=val, used=used, trail=trail, order=order) -> bool:
+        """Branch on order[pos], which is unassigned; True once ``limit``
+        solutions are found."""
+        v, mark = order[pos], len(trail)
+        for a in range(n):
             if distinct and used[a]:
                 continue
             spend()
             used[a] = distinct
             val[v] = a
-            if not propagate(v):
-                continue
-            nxt = pos + 1
-            while nxt < depth and val[order[nxt]] >= 0:
-                nxt += 1
-            if nxt < depth:
-                frames.append((nxt, iter(range(n + 1)), len(trail)))
-                break
-            out.append(tuple(val))
-            if len(out) == limit:
-                return out
+            if propagate(v):
+                nxt = pos + 1
+                while nxt < depth and val[order[nxt]] >= 0:
+                    nxt += 1
+                if nxt < depth:
+                    if extend(nxt):
+                        return True
+                else:
+                    out.append(tuple(val))
+                    if len(out) == limit:
+                        return True
+            if len(trail) > mark:
+                for w in trail[mark:]:
+                    used[val[w]] = False
+                    val[w] = -1
+                del trail[mark:]
+            used[a] = False
+        val[v] = -1
+        return False
+
+    if not order:
+        return [()]
+    extend(0)
     return out
 
 

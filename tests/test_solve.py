@@ -128,37 +128,48 @@ def test_greedy_order_branches_on_determining_arcs():
     assert greedy.nodes == 5 + 5**2 + 5**3 < by_index.nodes
 
 
-def _twist_nodes(k):
+@pytest.fixture
+def coloring_budgets(monkeypatch):
+    """The Budget of every colorings() call made in the test, in call order."""
+    made = []
+
+    class Recording(Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr("quandles.links.Budget", Recording)
+    return made
+
+
+def _twist_nodes(k, budgets):
     d = synthesize_link(LinkingGraph(((0, k, 1), (k, 0, 1), (1, 1, 0))))
-    budget = Budget("coloring")
-    found = colorings(d, p_quandle(4, parse_cycles("(1 2)", 4)), budget=budget)
-    return len(found), budget.nodes
+    found = colorings(d, p_quandle(4, parse_cycles("(1 2)", 4)))
+    return len(found), budgets[-1].nodes
 
 
-def test_twist_ladder_is_linear_in_crossings():
+def test_twist_ladder_is_linear_in_crossings(coloring_budgets):
     # the node count does not grow with the twist: only the propagation
     # along the 2k crossings does
-    count_50, nodes_50 = _twist_nodes(50)
-    count_100, nodes_100 = _twist_nodes(100)
+    count_50, nodes_50 = _twist_nodes(50, coloring_budgets)
+    count_100, nodes_100 = _twist_nodes(100, coloring_budgets)
     assert count_50 == count_100 == 93
-    assert nodes_50 == nodes_100 == _twist_nodes(7)[1] == 155
+    assert nodes_50 == nodes_100 == _twist_nodes(7, coloring_budgets)[1] == 155
 
 
-def test_k6_over_r5_finishes_under_the_benchmark_cap():
-    budget = Budget("coloring", 10**6)
-    found = colorings(synthesize_link(_all_ones(6)), dihedral(5), budget=budget)
+def test_k6_over_r5_finishes_under_the_benchmark_cap(coloring_budgets):
+    found = colorings(synthesize_link(_all_ones(6)), dihedral(5), cap=10**6)
     assert len(found) == 5  # the constant colorings
-    assert budget.nodes == 19530
+    assert coloring_budgets[-1].nodes == 19530
 
 
-def test_small_cap_still_stops_k3_over_r3():
+def test_small_cap_still_stops_k3_over_r3(coloring_budgets):
     d = synthesize_link(_all_ones(3))
     with pytest.raises(SearchCapError) as err:
         colorings(d, dihedral(3), cap=3)
     assert err.value.budget.nodes == 4
-    budget = Budget("coloring")
-    assert len(colorings(d, dihedral(3), budget=budget)) == 3
-    assert budget.nodes == 39
+    assert len(colorings(d, dihedral(3))) == 3
+    assert coloring_budgets[-1].nodes == 39
 
 
 def test_cap_messages_name_the_search():
