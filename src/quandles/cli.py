@@ -15,7 +15,6 @@ import sys
 
 from . import cohomology as coh
 from . import invariants, links, morphisms
-from .limits import search_cap
 from .quiver import cocycle_invariant, quiver as build_quiver, quiver_dot
 from .permutations import parse_cycles
 from .quandle import Quandle, dihedral, p_quandle, trivial
@@ -96,9 +95,8 @@ def _tokenize(text: str):
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+        text = json.dumps(payload, sort_keys=True)
+    print(text, flush=True)  # so that a closed pipe raises inside main
 
 
 def _cmd_show(args) -> int:
@@ -115,7 +113,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_iso(args) -> int:
     x, y = load_quandle(args.x), load_quandle(args.y)
-    f = morphisms.is_isomorphic(x, y, cap=search_cap())
+    f = morphisms.is_isomorphic(x, y)
     payload = {"isomorphic": f is not None,
                "map": list(f.image) if f else None}
     text = (f"isomorphic via {list(f.image)}" if f else "not isomorphic")
@@ -125,7 +123,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_aut(args) -> int:
     q = load_quandle(args.quandle)
-    maps, group = morphisms.automorphism_group(q, cap=search_cap())
+    maps, group = morphisms.automorphism_group(q)
     payload = {"order": group.order, "maps": [list(f.image) for f in maps]}
     lines = [f"|Aut| = {group.order}"]
     lines += [format_cycles_0based(f.image) for f in maps]
@@ -145,7 +143,7 @@ def _cmd_inn(args) -> int:
 
 def _cmd_homs(args) -> int:
     x, y = load_quandle(args.x), load_quandle(args.y)
-    maps = morphisms.homs(x, y, cap=search_cap())
+    maps = morphisms.homs(x, y)
     payload = {"count": len(maps), "maps": [list(f.image) for f in maps]}
     lines = [f"{len(maps)} homomorphisms"]
     lines += [" ".join(map(str, f.image)) for f in maps]
@@ -155,7 +153,7 @@ def _cmd_homs(args) -> int:
 
 def _cmd_homquandle(args) -> int:
     x, a = load_quandle(args.x), load_quandle(args.a)
-    hom_q, labels = morphisms.hom_quandle(x, a, cap=search_cap())
+    hom_q, labels = morphisms.hom_quandle(x, a)
     payload = {"order": hom_q.m, "table": [list(r) for r in hom_q.table],
                "labels": [list(t) for t in labels]}
     if args.out:
@@ -177,7 +175,7 @@ def _cmd_poly(args) -> int:
 
 def _cmd_goodinv(args) -> int:
     q = load_quandle(args.quandle)
-    found = invariants.good_involutions(q, cap=search_cap())
+    found = invariants.good_involutions(q)
     payload = {"count": len(found), "involutions": [list(s.rho) for s in found]}
     lines = [f"{len(found)} good involutions"]
     lines += [format_cycles_0based(s.rho) for s in found]
@@ -202,7 +200,7 @@ def _cmd_cohomology(args) -> int:
 def _cmd_color(args) -> int:
     d = load_diagram(args.diagram)
     q = load_quandle(args.quandle)
-    found = links.colorings(d, q, cap=search_cap())
+    found = links.colorings(d, q)
     payload = {"count": len(found), "colorings": [list(c.colors) for c in found]}
     lines = [f"{len(found)} colorings"]
     lines += [" ".join(map(str, c.colors)) for c in found]
@@ -236,7 +234,7 @@ def _cmd_synth(args) -> int:
 
 def _load_endos(q: Quandle, source: str):
     if source == "all":
-        return morphisms.endomorphisms(q, cap=search_cap())
+        return morphisms.endomorphisms(q)
     images = _parse_file(source, json.loads)
     if not isinstance(images, list):
         raise ValueError(f"{source}: expected a JSON list of images")
@@ -252,7 +250,7 @@ def _cmd_quiver(args) -> int:
     d = load_diagram(args.diagram)
     q = load_quandle(args.quandle)
     s = _load_endos(q, args.endos)
-    qv = build_quiver(d, q, s, cap=search_cap())
+    qv = build_quiver(d, q, s)
     dot = quiver_dot(qv)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -270,7 +268,7 @@ def _cmd_phi(args) -> int:
     d = load_diagram(args.diagram)
     q = load_quandle(args.quandle)
     theta = coh.theta_cocycle(args.theta)
-    value = cocycle_invariant(d, q, theta, cap=search_cap())
+    value = cocycle_invariant(d, q, theta)
     payload = {"coeffs": {str(k): v for k, v in sorted(value.coeffs.items())},
                "at_one": value.evaluate_at_one()}
     _emit(args, payload, str(value))
@@ -337,6 +335,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader left (as `| head` does); devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

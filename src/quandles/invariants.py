@@ -124,9 +124,12 @@ def _good_involution_defect(q: Quandle, rho):
     return None
 
 
-def _involutions(m: int, budget: Budget):
-    """All involutive self-maps of {0..m-1}, identity included, sorted.
-    Each involution built spends one node of the budget."""
+def _involutions(q: Quandle, budget: Budget):
+    """The involutions of {0..m-1}, in lex order, that fix or pair y only with
+    an element whose column is the inverse of y's column, as x*rho(y) =
+    bar(x, y) requires. Each involution built spends one node of the budget."""
+    columns = [q.column_perm(y) for y in q.elements]
+    inverses = [tuple(row[y] for row in q.bar_table) for y in q.elements]
     out = []
 
     def build(remaining, image):
@@ -135,22 +138,21 @@ def _involutions(m: int, budget: Budget):
             out.append(tuple(image))
             return
         x = remaining[0]
-        image[x] = x
-        build(remaining[1:], image)
-        for y in remaining[1:]:
-            image[x], image[y] = y, x
-            build([z for z in remaining[1:] if z != y], image)
-            image[x], image[y] = x, y
+        for y in remaining:  # y = x first: the images come out in lex order
+            if columns[y] == inverses[x]:
+                image[x], image[y] = y, x
+                build([z for z in remaining[1:] if z != y], image)
 
-    build(list(range(m)), [0] * m)
-    return sorted(out)
+    build(list(q.elements), [0] * q.m)
+    return out
 
 
 def good_involutions(q: Quandle, cap: int | None = None):
-    """All good involutions of q, found by filtering every involution of the
-    set; an "involution" Budget with the given cap counts the involutions."""
+    """All good involutions of q: the involutions that pair only mutually
+    inverse columns, filtered by both laws; an "involution" Budget with the
+    given cap counts the involutions built."""
     found = []
-    for rho in _involutions(q.m, Budget("involution", cap)):
+    for rho in _involutions(q, Budget("involution", cap)):
         if _good_involution_defect(q, rho) is None:
             found.append(SymmetricQuandle(q, rho))
     return found

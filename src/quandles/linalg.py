@@ -1,19 +1,20 @@
 """Exact integer linear algebra for the sparse boundary matrices of cohomology.
 
 Matrices are lists of row lists of Python ints (arbitrary precision). One
-elimination does all the work: `smith_normal_form` gives the invariant
-factors, and the rank over Q (nonzero factors) and over GF(p) (factors not
-divisible by p) are read from them. It first takes +-1 pivots on sparse rows,
-shortest row first, each of which isolates a factor 1 (Dumas, Saunders &
-Villard, J. Symb. Comput. 2001); quandle boundaries have entries in
-{0, +-1, +-2} and almost every pivot is a unit. The small core that is left is
-reduced densely with least-absolute-value pivoting. `integer_kernel_basis`
-gives a saturated basis of an integer kernel.
+sparse pass, `_eliminate`, takes +-1 pivots on rows, shortest row first
+(Dumas, Saunders & Villard, J. Symb. Comput. 2001); quandle boundaries have
+entries in {0, +-1, +-2} and almost every pivot is a unit. One dense
+`_echelon` with least-absolute-value pivots reduces the small core that is
+left. `smith_normal_form` counts a factor 1 per pivot and diagonalises the
+core; the rank over Q (nonzero factors) and over GF(p) (factors not divisible
+by p) are read from the factors. `integer_kernel_basis` takes the kernel of
+the core and back-substitutes it through the pivot rows.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 
 def zeros(rows: int, cols: int):
@@ -58,41 +59,62 @@ def in_column_span(a, v, p: int | None = None) -> bool:
 def integer_kernel_basis(a, cols: int | None = None):
     """Basis of ker(a) as a sublattice of Z^cols (saturated, hence a direct summand).
 
-    Column reduction with a unimodular transform U: the U-columns matching the
-    zero columns of the echelon form span the kernel.
+    The core left by the unit pivots is column-reduced with a unit tail on each
+    column, so the tails of the columns that reduce to zero span its kernel;
+    back-substitution through the pivot rows, last pivot first, extends each
+    to all of Z^cols. The pivots are +-1, so this stays integral.
     """
-    rows = len(a)
     if cols is None:
-        if not rows:
+        if not a:
             raise ValueError("pass cols for a matrix with no rows")
         cols = len(a[0])
-    work = [[a[r][c] for r in range(rows)] for c in range(cols)]
-    u = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]  # columns of U
-
-    lead = 0
-    for r in range(rows):
-        active = [c for c in range(lead, cols) if work[c][r] != 0]
-        while len(active) > 1:
-            active.sort(key=lambda c: abs(work[c][r]))
-            piv = active[0]
-            for c in active[1:]:
-                q = work[c][r] // work[piv][r]
-                if q:
-                    work[c] = [x - q * y for x, y in zip(work[c], work[piv])]
-                    u[c] = [x - q * y for x, y in zip(u[c], u[piv])]
-            active = [c for c in active if work[c][r] != 0]
-        if active:
-            piv = active[0]
-            work[lead], work[piv] = work[piv], work[lead]
-            u[lead], u[piv] = u[piv], u[lead]
-            lead += 1
-            if lead == cols:
-                break
-    return [list(u[c]) for c in range(lead, cols)]
+    pivots, core = _eliminate(a)
+    pivot_cols = {j for j, _ in pivots}
+    free = [c for c in range(cols) if c not in pivot_cols]
+    n = len(core)
+    vecs = [[r.get(c, 0) for r in core] + [int(k == i) for k in range(len(free))]
+            for i, c in enumerate(free)]
+    basis = []
+    for vec in _echelon(vecs, n)[1]:
+        x = [0] * cols
+        for c, v in zip(free, vec[n:]):
+            x[c] = v
+        # last pivot first: a pivot row holds no column of an earlier pivot
+        for j, r in reversed(pivots):
+            x[j] = -r[j] * sum(v * x[c] for c, v in r.items() if c != j)
+        basis.append(x)
+    return basis
 
 
 def smith_normal_form(a):
     """Nonzero invariant factors of an integer matrix, in divisibility order."""
+    pivots, core = _eliminate(a)
+    core_cols = sorted({c for r in core for c in r})
+    m = [[r.get(c, 0) for c in core_cols] for r in core]
+    # row and column echelon forms in turn until diagonal; each round lowers
+    # the first unsettled pivot or settles it, as ties go to the earlier vector
+    while True:
+        m = _echelon(m, len(m[0]) if m else 0)[0]
+        if all(sum(map(bool, v)) == 1 for v in m):
+            break
+        m = transpose(m)
+    diag = [abs(x) for v in m for x in v if x]
+    for i in range(len(diag)):
+        for k in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[k])
+            diag[i], diag[k] = g, diag[i] * diag[k] // g
+    return [1] * len(pivots) + diag
+
+
+def _eliminate(a):
+    """Take +-1 pivots on the rows of a, shortest row first (sparsest column
+    among its units), clearing each pivot's column from every other row.
+
+    Returns the pivots in the order taken, as (column, row dict as it was
+    when taken), and the list of core row dicts that are left. The row
+    operations are unimodular, so pivots and core together have the row
+    lattice of a; no pivot row holds the column of an earlier pivot.
+    """
     rows, holders = {}, {}  # holders: column -> the rows with a nonzero entry there
     for i, row in enumerate(a):
         r = {j: v for j, v in enumerate(row) if v}
@@ -100,7 +122,7 @@ def smith_normal_form(a):
             rows[i] = r
             for j in r:
                 holders.setdefault(j, set()).add(i)
-    units = 0
+    pivots = []
     heap = [(len(r), i) for i, r in rows.items()]
     heapify(heap)
     while heap:
@@ -112,8 +134,6 @@ def smith_normal_form(a):
         if not unit_cols:
             continue  # re-queued if another pivot changes it
         j = min(unit_cols, key=lambda c: len(holders[c]))
-        # clear column j from the other rows; the pivot row and column then
-        # split off with the factor 1 (column operations would clear the row)
         for k in holders[j] - {i}:
             other = rows[k]
             f = other[j] * r[j]
@@ -132,60 +152,34 @@ def smith_normal_form(a):
         for c in r:
             holders[c].discard(i)
         del rows[i]
-        units += 1
-    # dense least-absolute-value reduction of the core that is left
-    core_cols = sorted({c for r in rows.values() for c in r})
-    m = [[r.get(c, 0) for c in core_cols] for r in rows.values()]
-    n_rows, n_cols = len(m), len(core_cols)
-    factors = [1] * units
-    t = 0
-    while _least_nonzero(m, t) is not None:
-        while True:
-            i, j = _least_nonzero(m, t)  # re-pick after each reduction pass
-            m[t], m[i] = m[i], m[t]
-            for row in m:
-                row[t], row[j] = row[j], row[t]
-            dirty = False
-            for r in range(t + 1, n_rows):
-                q = m[r][t] // m[t][t]
-                if q:
-                    m[r] = [x - q * y for x, y in zip(m[r], m[t])]
-                if m[r][t]:
-                    dirty = True
-            for c in range(t + 1, n_cols):
-                q = m[t][c] // m[t][t]
-                if q:
-                    for r in range(n_rows):
-                        m[r][c] -= q * m[r][t]
-                if m[t][c]:
-                    dirty = True
-            if dirty:
-                continue
-            # enforce divisibility of the remaining block
-            offender = None
-            d = m[t][t]
-            for r in range(t + 1, n_rows):
-                for c in range(t + 1, n_cols):
-                    if m[r][c] % d:
-                        offender = r
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            m[t] = [x + y for x, y in zip(m[t], m[offender])]
-        factors.append(abs(m[t][t]))
-        t += 1
-    return factors
+        pivots.append((j, r))
+    return pivots, list(rows.values())
 
 
-def _least_nonzero(m, t):
-    best = None
-    for i in range(t, len(m)):
-        for j in range(t, len(m[0])):
-            v = abs(m[i][j])
-            if v and (best is None or v < abs(m[best[0]][best[1]])):
-                best = (i, j)
-                if v == 1:
-                    return best
-    return best
+def _echelon(vecs, n):
+    """Echelon form of integer vectors on their first n coordinates.
+
+    Returns (echelon, rest): the vectors with a nonzero head, in order of
+    their leading coordinate, and those whose first n coordinates vanish.
+    Each coordinate is cleared by Euclid's algorithm with the least absolute
+    value as pivot (the first such vector on ties); all operations are
+    unimodular, and the vectors given are not modified.
+    """
+    echelon = []
+    for c in range(n):
+        active = [v for v in vecs if v[c]]
+        if not active:
+            continue
+        rest = [v for v in vecs if not v[c]]
+        while len(active) > 1:
+            piv = min(active, key=lambda v: abs(v[c]))
+            reduced = [piv]
+            for v in active:
+                if v is not piv:
+                    q = v[c] // piv[c]
+                    v = [x - q * y for x, y in zip(v, piv)]
+                    (reduced if v[c] else rest).append(v)
+            active = reduced
+        echelon.append(active[0])
+        vecs = rest
+    return echelon, vecs

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quandles
 from helpers import FIXTURES
 from quandles.cli import (
     format_cycles_0based,
@@ -203,6 +208,22 @@ def test_search_cap_env(capsys, monkeypatch):
     monkeypatch.delenv("QUANDLE_SEARCH_CAP")
     code, _, _ = run(capsys, "homs", "T 3", "T 3")
     assert code == 0
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # T10 has 9496 involutions, about 180 kB of output: more than a pipe
+    # buffer holds, so the command is still writing when the pipe closes
+    src = str(Path(quandles.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "quandles", "goodinv", "T 10"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.readline() == b"9496 good involutions\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_output_is_deterministic(capsys):

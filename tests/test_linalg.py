@@ -141,6 +141,41 @@ def test_integer_kernel_basis_is_saturated():
         integer_kernel_basis([])
 
 
+def assert_saturated_kernel(a, cols):
+    """The basis annihilates a, has cols - rank(a) vectors and is saturated."""
+    basis = integer_kernel_basis(a, cols=cols)
+    assert len(basis) == cols - rank(a)
+    for vec in basis:
+        assert all(sum(x * v for x, v in zip(row, vec)) == 0 for row in a)
+    assert smith_normal_form(basis) == [1] * len(basis)
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_integer_kernel_basis_on_random_matrices(pool):
+    rng = random.Random(3 * sum(pool) + len(pool))
+    for _ in range(60):
+        cols = rng.randint(1, 8)
+        assert_saturated_kernel(random_matrix(rng, rng.randint(1, 8), cols, pool), cols)
+
+
+def _symmetric_stack():
+    q = p_quandle(6, parse_cycles("(1 2)(3 4)(5 6)", 6))
+    sl = cochain_slice(q, 2, (0, 2, 1, 3, 4, 5, 6))  # rho = (1 2), a good involution
+    return [list(r) for r in sl.delta_out] + [list(r) for r in sl.relations], len(sl.basis)
+
+
+@pytest.mark.parametrize("case", ["R4", "R5", "P4", "sym P6"])
+def test_integer_kernel_basis_on_coboundaries(case):
+    if case == "sym P6":
+        a, cols = _symmetric_stack()
+    else:
+        q = {"R4": dihedral(4), "R5": dihedral(5),
+             "P4": p_quandle(4, parse_cycles("(1 2 3 4)", 4))}[case]
+        sl = cochain_slice(q, 3)
+        a, cols = [list(r) for r in sl.delta_out], len(sl.basis)
+    assert_saturated_kernel(a, cols)
+
+
 def test_in_column_span():
     a = [[1, 0], [0, 2], [0, 0]]
     assert in_column_span(a, [3, 4, 0])

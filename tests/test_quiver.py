@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 
 from helpers import FIXTURES, load_diagram
@@ -5,6 +8,7 @@ from quandles import (
     Cocycle2,
     GroupRingElement,
     LinkingGraph,
+    Quiver,
     QuandleMap,
     cocycle_invariant,
     colorings,
@@ -84,6 +88,45 @@ def test_quiver_isomorphism_vertex_bound():
     with pytest.raises(ValueError):
         quiver_isomorphic(qv, qv, max_vertices=4)
     assert quiver_isomorphic(qv, qv, max_vertices=16)
+
+
+def _networkx(qv):
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(range(qv.n_vertices))
+    g.add_edges_from(qv.edges)
+    return g
+
+
+def _renumbered(qv, rng):
+    """The same quiver with its vertices renumbered at random."""
+    new = list(range(qv.n_vertices))
+    rng.shuffle(new)
+    old = sorted(range(qv.n_vertices), key=new.__getitem__)
+    return Quiver(tuple(qv.vertices[v] for v in old), tuple(qv.labels[v] for v in old),
+                  tuple((new[a], new[b]) for a, b in qv.edges))
+
+
+@pytest.mark.parametrize("q", [P3, trivial(2)])
+def test_quiver_isomorphic_matches_networkx(q):
+    # endomorphism subsets give loops (constant maps fix a vertex) and
+    # parallel edges; each quiver also appears renumbered
+    rng = random.Random(q.m)
+    endos = endomorphisms(q)
+    diagrams = (HOPF, TORUS, TREFOIL, UNKNOT, SPLIT2,
+                load_diagram("torus24_neg.lnk"), load_diagram("hopf_kink.lnk"))
+    quivers = []
+    for d in diagrams:
+        for s in (endos, endos[:1], endos[1:3], endos[-2:]):
+            qv = quiver(d, q, s)
+            quivers += [qv, _renumbered(qv, rng)]
+    graphs = [_networkx(qv) for qv in quivers]
+    verdicts = []
+    for i, (qa, ga) in enumerate(zip(quivers, graphs)):
+        for qb, gb in zip(quivers[i:], graphs[i:]):
+            verdicts.append(nx.is_isomorphic(ga, gb))
+            assert quiver_isomorphic(qa, qb) == verdicts[-1]
+    assert any(a == b for qv in quivers for a, b in qv.edges)
+    assert True in verdicts and False in verdicts
 
 
 def test_quiver_dot_golden_file():
