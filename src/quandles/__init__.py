@@ -21,7 +21,7 @@ from .invariants import (
     p_polynomial_formula,
     quandle_polynomial,
 )
-from .limits import SearchCapError, search_cap
+from .limits import SearchCapError
 from .links import (
     Coloring,
     Crossing,

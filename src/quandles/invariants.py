@@ -114,12 +114,17 @@ class SymmetricQuandle:
 
 
 def _good_involution_defect(q: Quandle, rho):
-    t = q.table
+    """The first (law, x, y) in (x, y) order where a law fails, else None;
+    whole rows are compared first, cell by cell only to find the witness."""
+    t, bar, image = q.table, q.bar_table, rho.__getitem__
     for x in q.elements:
+        row = t[x]
+        if tuple(map(image, row)) == t[rho[x]] and tuple(map(row.__getitem__, rho)) == bar[x]:
+            continue
         for y in q.elements:
-            if rho[t[x][y]] != t[rho[x]][y]:
+            if rho[row[y]] != t[rho[x]][y]:
                 return ("rho(x*y) = rho(x)*y", x, y)
-            if t[x][rho[y]] != q.bar(x, y):
+            if row[rho[y]] != bar[x][y]:
                 return ("x*rho(y) = bar(x,y)", x, y)
     return None
 
@@ -149,10 +154,12 @@ def _involutions(q: Quandle, budget: Budget):
 
 def good_involutions(q: Quandle, cap: int | None = None):
     """All good involutions of q: the involutions that pair only mutually
-    inverse columns, filtered by both laws; an "involution" Budget with the
-    given cap counts the involutions built."""
+    inverse columns, filtered by both laws (the SymmetricQuandle check); an
+    "involution" Budget with the given cap counts the involutions built."""
     found = []
     for rho in _involutions(q, Budget("involution", cap)):
-        if _good_involution_defect(q, rho) is None:
+        try:
             found.append(SymmetricQuandle(q, rho))
+        except ValueError:  # a law fails: rho is built as an involution
+            pass
     return found

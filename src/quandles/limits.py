@@ -15,25 +15,26 @@ class SearchCapError(RuntimeError):
         self.budget = budget
 
 
-def search_cap(explicit: int | None = None) -> int:
-    """Resolve a node budget: explicit argument, QUANDLE_SEARCH_CAP, or default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("QUANDLE_SEARCH_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEARCH_CAP
-
-
 class Budget:
     """Node counter of one search; spending past the cap raises SearchCapError.
 
     ``what`` names the search in the error message ("coloring", "hom", ...).
+    The cap is the explicit argument, else QUANDLE_SEARCH_CAP (a non-negative
+    integer), else DEFAULT_SEARCH_CAP.
     """
 
     def __init__(self, what: str, cap: int | None = None):
+        if cap is None:
+            env = os.environ.get("QUANDLE_SEARCH_CAP")
+            try:
+                cap = DEFAULT_SEARCH_CAP if env is None else int(env)
+            except ValueError:
+                cap = -1
+            if cap < 0:
+                raise ValueError(
+                    f"QUANDLE_SEARCH_CAP must be a non-negative integer, not {env!r}")
         self.what = what
-        self.cap = search_cap(cap)
+        self.cap = cap
         self.nodes = 0
 
     def spend(self) -> None:

@@ -11,6 +11,7 @@ found first is the lexicographically first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .limits import Budget
 from .quandle import Quandle
@@ -68,17 +69,30 @@ class FiniteGroupTable:
         n = self.order
         t = self.table
         for row in t:
-            if len(row) != n or any(not 0 <= v < n for v in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise ValueError("table entries must index elements")
         for x in range(n):
-            if all(t[x][y] != self.identity for y in range(n)):
+            if self.identity not in t[x]:
                 raise ValueError(f"element {x} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = t[a][b]
-                for c in range(n):
-                    if t[ab][c] != t[a][t[b][c]]:
-                        raise ValueError(f"associativity fails at ({a},{b},{c})")
+        # Light's test: the b with (ab)c = a(bc) for all a, c are closed under
+        # the product, so b runs over generators only: each element that right
+        # products of the earlier ones have not reached
+        gens, reached = [], set()
+        for b in range(n):
+            if b in reached:
+                continue
+            if any(t[t[a][b]] != tuple(map(t[a].__getitem__, t[b])) for a in range(n)):
+                a, b, c = next((a, b, c) for a, b, c in product(range(n), repeat=3)
+                               if t[t[a][b]][c] != t[a][t[b][c]])
+                raise ValueError(f"associativity fails at ({a},{b},{c})")
+            gens.append(b)
+            pending = [b, *reached]
+            reached.add(b)
+            while pending:
+                for y in map(t[pending.pop()].__getitem__, gens):
+                    if y not in reached:
+                        reached.add(y)
+                        pending.append(y)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -130,25 +144,21 @@ def is_isomorphic(x: Quandle, y: Quandle, cap: int | None = None) -> QuandleMap 
     return found[0] if found else None
 
 
-def _group_from_maps(maps):
-    """Composition table of a list of bijective maps, which must be closed."""
-    index = {f.image: i for i, f in enumerate(maps)}
-    table = []
-    for f in maps:
-        row = []
-        for g in maps:
-            h = f.compose(g)
-            if h.image not in index:
-                raise ValueError("set of maps is not closed under composition")
-            row.append(index[h.image])
-        table.append(row)
+def _group_table(images):
+    """Composition table of a list of permutations given as image tuples, which
+    must be closed; row f, column g holds f after g."""
+    index = {image: i for i, image in enumerate(images)}
+    try:
+        table = [[index[tuple(map(f.__getitem__, g))] for g in images] for f in images]
+    except KeyError:
+        raise ValueError("set of maps is not closed under composition") from None
     return FiniteGroupTable(table)
 
 
 def automorphism_group(q: Quandle, cap: int | None = None):
     """All bijective endomorphisms with their composition table."""
     maps = _search(q, q, cap, bijective=True)
-    return maps, _group_from_maps(maps)
+    return maps, _group_table([f.image for f in maps])
 
 
 def inner_group(q: Quandle) -> FiniteGroupTable:
@@ -160,15 +170,12 @@ def inner_group(q: Quandle) -> FiniteGroupTable:
         nxt = []
         for a in frontier:
             for b in gens:
-                c = tuple(a[v] for v in b)
+                c = tuple(map(a.__getitem__, b))
                 if c not in elems:
                     elems.add(c)
                     nxt.append(c)
         frontier = nxt
-    ordered = sorted(elems)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = [[index[tuple(a[v] for v in b)] for b in ordered] for a in ordered]
-    return FiniteGroupTable(table)
+    return _group_table(sorted(elems))
 
 
 def hom_quandle(x: Quandle, a: Quandle, cap: int | None = None):

@@ -94,10 +94,10 @@ def quiver(d: LinkDiagram, q: Quandle, s, cap: int | None = None) -> Quiver:
     verts = colorings(d, q, cap)
     index = {v.colors: i for i, v in enumerate(verts)}
     edges = []
+    movers = [f.image.__getitem__ for f in s]
     for i, v in enumerate(verts):
-        for f in s:
-            moved = tuple(f(c) for c in v.colors)
-            j = index.get(moved)
+        for move in movers:
+            j = index.get(tuple(map(move, v.colors)))
             if j is None:
                 raise RuntimeError("endomorphism image is not a coloring")
             edges.append((i, j))

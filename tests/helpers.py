@@ -51,6 +51,15 @@ def brute_force_colorings(d: LinkDiagram, q: Quandle):
     return found
 
 
+def associativity_witness(table):
+    """The first (a, b, c) in lex order with (ab)c != a(bc), else None."""
+    n = len(table)
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return (a, b, c)
+    return None
+
+
 def group_mul_table(perms):
     """Multiplication table of a list of permutations (as image tuples),
     product = left-then-right composition a;b = b after a."""

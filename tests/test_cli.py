@@ -247,3 +247,18 @@ def test_lk_json_round_trips_into_linking_graph(capsys):
     assert code == 0
     graph = LinkingGraph.from_json(out)
     assert graph.weights == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("value", ("abc", "-1"))
+def test_search_cap_env_must_be_a_non_negative_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", value)
+    code, out, err = run(capsys, "aut", "R 3")
+    assert code == 1 and out == ""
+    assert err == f"error: QUANDLE_SEARCH_CAP must be a non-negative integer, not {value!r}\n"
+
+
+def test_search_cap_env_zero_is_a_valid_cap(capsys, monkeypatch):
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "0")
+    code, out, err = run(capsys, "aut", "R 3")
+    assert code == 1 and out == ""
+    assert err == "error: hom search exceeded 0 nodes\n"

@@ -260,3 +260,39 @@ def test_summary_strings():
     assert str(cohomology_Q(P3, 2, "Z")) == "Z^2"
     assert str(cohomology_Q(P3, 2, "Q")) == "Q^2"
     assert str(cohomology_Q(P3, 2, "Z2")) == "F2^2"
+
+
+def _orbit_count(q):
+    """Orbits of the inner group: classes of x ~ x*y."""
+    seen, count = set(), 0
+    for start in q.elements:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        pending = [start]
+        while pending:
+            x = pending.pop()
+            for z in q.table[x]:
+                if z not in seen:
+                    seen.add(z)
+                    pending.append(z)
+    return count
+
+
+FREE_RANK_QUANDLES = {
+    **{f"T{m}": trivial(m) for m in (1, 2, 3, 4)},
+    **{f"R{m}": dihedral(m) for m in (3, 4, 5, 6)},
+    "P4(1 2)": p_quandle(4, parse_cycles("(1 2)", 4)),
+    "P3(1 2 3)": p_quandle(3, parse_cycles("(1 2 3)", 3)),
+}
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("name", FREE_RANK_QUANDLES)
+def test_free_rank_is_orbit_formula(name, n):
+    # rank H^n_Q(X) = o(o-1)^(n-1) for o orbits (Etingof & Grana 2003;
+    # Litherland & Nelson 2003)
+    q = FREE_RANK_QUANDLES[name]
+    o = _orbit_count(q)
+    assert cohomology_Q(q, n, "Z").rank == o * (o - 1) ** (n - 1)

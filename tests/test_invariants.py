@@ -14,6 +14,8 @@ from quandles import (
     quandle_polynomial,
     trivial,
 )
+from quandles import invariants
+from quandles.limits import Budget
 
 P3 = p_quandle(2, parse_cycles("(1 2)", 2))
 
@@ -142,3 +144,31 @@ def test_formula_also_covers_identity():
     for n in (1, 2, 3):
         sigma = parse_cycles("()", n)
         assert p_polynomial_formula(n, sigma) == quandle_polynomial(p_quandle(n, sigma))
+
+
+def test_symmetric_quandle_names_the_failing_law():
+    # (1 3) is an involution pairing identity columns, so x*rho(y) = bar(x,y)
+    # holds, but it does not commute with column 0, which acts as (1 2)
+    p312 = p_quandle(3, parse_cycles("(1 2)", 3))
+    with pytest.raises(ValueError) as exc:
+        SymmetricQuandle(p312, (0, 3, 2, 1))
+    assert str(exc.value) == "rho(x*y) = rho(x)*y fails at (1,0)"
+    with pytest.raises(ValueError) as exc:
+        SymmetricQuandle(p_quandle(3, parse_cycles("(1 2 3)", 3)), (0, 1, 2, 3))
+    assert str(exc.value) == "x*rho(y) = bar(x,y) fails at (1,0)"
+
+
+def test_good_involutions_check_each_involution_once(monkeypatch):
+    q = p_quandle(3, parse_cycles("(1 2)", 3))
+    built = invariants._involutions(q, Budget("involution"))
+    calls = []
+    check = invariants._good_involution_defect
+
+    def counted(q, rho):
+        calls.append(rho)
+        return check(q, rho)
+
+    monkeypatch.setattr(invariants, "_good_involution_defect", counted)
+    found = good_involutions(q)
+    assert [s.rho for s in found] == [(0, 1, 2, 3), (0, 2, 1, 3)]
+    assert calls == built and len(built) == 4

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    associativity_witness,
     brute_force_automorphisms,
     brute_force_homs,
     conjugation_quandle,
+    group_mul_table,
     symmetric_group_elements,
 )
 from quandles import (
@@ -182,3 +186,55 @@ def test_homs_sorted_and_duplicate_free():
         images = [f.image for f in homs(x, y)]
         assert images == sorted(images)
         assert len(set(images)) == len(images)
+
+
+def test_group_table_rejects_a_non_associative_loop():
+    # an identity and an inverse for every element: only associativity fails
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    with pytest.raises(ValueError) as exc:
+        FiniteGroupTable(loop)
+    assert str(exc.value) == "associativity fails at (1,1,2)"
+
+
+@st.composite
+def tables_with_identity_and_inverses(draw):
+    """A group table (cyclic, Klein four or S3) or a random table, with a few
+    cells changed, then forced to have identity 0 and a right inverse in every
+    row, and relabelled."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("cyclic", "klein", "s3", "random")))
+    if kind == "klein" and n in (1, 2, 4):
+        table = [[a ^ b for b in range(n)] for a in range(n)]
+    elif kind == "s3" and n == 6:
+        table = group_mul_table(symmetric_group_elements(3))
+    elif kind == "random":
+        table = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    else:
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            table[a][b] = draw(st.integers(0, n - 1))
+    for x in range(n):
+        table[0][x] = table[x][0] = x
+        if 0 not in table[x]:
+            table[x][draw(st.integers(1, n - 1))] = 0
+    p = draw(st.permutations(range(n)))
+    relabelled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabelled[p[a]][p[b]] = p[table[a][b]]
+    return relabelled
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables_with_identity_and_inverses())
+def test_group_table_accepts_exactly_the_associative_tables(table):
+    witness = associativity_witness(table)
+    if witness is None:
+        assert FiniteGroupTable(table).order == len(table)
+    else:
+        with pytest.raises(ValueError) as exc:
+            FiniteGroupTable(table)
+        assert str(exc.value) == "associativity fails at ({},{},{})".format(*witness)
