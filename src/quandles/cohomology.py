@@ -15,11 +15,20 @@ involution relations, modulo coboundaries of arbitrary (n-1)-cochains. (The
 stricter quotient that also constrains the (n-1)-cochains by the involution
 relations gives a larger group in degree 2; the convention used here is the
 one under which the one-column computations close up.)
+
+One formula gives both groups. Let S be delta_out stacked with the relation
+rows R (none for plain cohomology). The cocycles are ker S; the coboundaries
+among them are delta_in applied to ker(R*delta_in), all of im(delta_in) when
+R is empty, as delta_out*delta_in = 0. Over Z, ker S is a direct summand of
+Z^{c_n}, so with M = delta_in*ker(R*delta_in)^T, H^n is Z^(c_n - rk S - rk M)
+plus the factors > 1 of the Smith form of M. Over a field, its dimension is
+c_n - rk S - (rk delta_in - rk(R*delta_in)).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -101,30 +110,29 @@ def boundary_matrix(q: Quandle, n: int):
 
     Rows are indexed by the (n-1)-tuple basis, columns by the n-tuple basis;
     image tuples that are degenerate are dropped (they vanish in the quotient).
+    It is the transpose of the coboundary rows that `cochain_slice` builds.
     """
     _check_degree(q, n, 2, 4)
     lower = tuple_basis(q, n - 1)
-    upper = tuple_basis(q, n)
-    low_index = {t: i for i, t in enumerate(lower)}
-    mat = linalg.zeros(len(lower), len(upper))
-    for col, t in enumerate(upper):
-        for row_tuple, coeff in _boundary_of(q, t).items():
-            row = low_index.get(row_tuple)
-            if row is not None:
-                mat[row][col] += coeff
-    return mat
+    rows = _coboundary_rows(q, tuple_basis(q, n), lower)
+    return [[row[i] for row in rows] for i in range(len(lower))]
 
 
-def _boundary_of(q: Quandle, t: tuple):
-    out: dict = {}
-    n = len(t)
-    for i in range(1, n + 1):
-        sign = -1 if i % 2 else 1
-        face = t[: i - 1] + t[i:]
-        acted = tuple(q.op(x, t[i - 1]) for x in t[: i - 1]) + t[i:]
-        out[face] = out.get(face, 0) + sign
-        out[acted] = out.get(acted, 0) - sign
-    return {k: v for k, v in out.items() if v}
+def _coboundary_rows(q: Quandle, basis, lower):
+    """One dense row per tuple t of basis: the boundary of t (module docstring)
+    on the lower basis, where the degenerate faces are absent and so vanish."""
+    index = {t: i for i, t in enumerate(lower)}
+    rows = []
+    for t in basis:
+        row = [0] * len(lower)
+        for i in range(1, len(t) + 1):
+            sign = -1 if i % 2 else 1
+            acted = tuple(q.op(x, t[i - 1]) for x in t[: i - 1]) + t[i:]
+            for face, coeff in ((t[: i - 1] + t[i:], sign), (acted, -sign)):
+                if face in index:
+                    row[index[face]] += coeff
+        rows.append(row)
+    return tuple(rows)
 
 
 def rho_relation_rows(q: Quandle, rho, n: int):
@@ -133,7 +141,10 @@ def rho_relation_rows(q: Quandle, rho, n: int):
     Each row is the indicator of a sum T + T'; coefficients are kept as-is
     (a relation 2*f(T) = 0 must stay 2, it is vacuous mod 2).
     """
-    basis = tuple_basis(q, n)
+    return [list(r) for r in _relation_rows(q, rho, n, tuple_basis(q, n))]
+
+
+def _relation_rows(q: Quandle, rho, n: int, basis):
     index = {t: i for i, t in enumerate(basis)}
     rows = set()
     for t in itertools.product(q.elements, repeat=n):
@@ -146,7 +157,7 @@ def rho_relation_rows(q: Quandle, rho, n: int):
                     row[pos] += 1
             if any(row):
                 rows.add(tuple(row))
-    return [list(r) for r in sorted(rows)]
+    return tuple(sorted(rows))
 
 
 @dataclass(frozen=True)
@@ -168,60 +179,54 @@ class CochainComplexSlice:
     relations: tuple | None = None
 
     def __post_init__(self):
-        prod = linalg.mat_mul([list(r) for r in self.delta_out],
-                              [list(r) for r in self.delta_in])
-        if not linalg.is_zero_matrix(prod):
+        if not linalg.is_zero_matrix(linalg.mat_mul(self.delta_out, self.delta_in)):
             raise AssertionError("coboundary composed with itself is nonzero")
 
 
 def cochain_slice(q: Quandle, n: int, rho=None) -> CochainComplexSlice:
     """Build the degree-n slice; 2 <= n <= 3 so that the degree n+1 boundary exists."""
     _check_degree(q, n, 2, 3)
-    delta_in = linalg.transpose(boundary_matrix(q, n))
-    delta_out = linalg.transpose(boundary_matrix(q, n + 1))
-    relations = None
-    if rho is not None:
-        relations = tuple(tuple(r) for r in rho_relation_rows(q, rho, n))
+    below, basis, above = (tuple(tuple_basis(q, k)) for k in (n - 1, n, n + 1))
     return CochainComplexSlice(
         quandle=q,
         degree=n,
-        basis_below=tuple(tuple_basis(q, n - 1)),
-        basis=tuple(tuple_basis(q, n)),
-        basis_above=tuple(tuple_basis(q, n + 1)),
-        delta_in=tuple(tuple(r) for r in delta_in),
-        delta_out=tuple(tuple(r) for r in delta_out),
-        relations=relations,
+        basis_below=below,
+        basis=basis,
+        basis_above=above,
+        delta_in=_coboundary_rows(q, basis, below),
+        delta_out=_coboundary_rows(q, above, basis),
+        relations=None if rho is None else _relation_rows(q, rho, n, basis),
     )
 
 
-def cohomology_Q(q: Quandle, n: int, coeff) -> AbelianGroupSummary:
-    """H^n of the A-valued cochain complex.
-
-    Over a field: dim ker(delta_out) - rank(delta_in). Over Z: one Smith form
-    of delta_in gives both its rank (the number of invariant factors) and the
-    torsion (the factors > 1); the free rank is c_n - rank(delta_out) minus
-    that rank.
-    """
-    coeff = coeff if isinstance(coeff, Coeff) else Coeff.parse(coeff)
-    sl = cochain_slice(q, n)
-    d_in = [list(r) for r in sl.delta_in]
-    d_out = [list(r) for r in sl.delta_out]
+def _cohomology(sl: CochainComplexSlice, coeff: Coeff) -> AbelianGroupSummary:
+    """H^n of a slice; see the module docstring for the formula."""
+    relations = sl.relations or ()
+    stacked = sl.delta_out + relations
+    r_in = linalg.mat_mul(relations, sl.delta_in) if relations else []
     c_n = len(sl.basis)
     if coeff.kind == "Z":
-        factors = linalg.smith_normal_form(d_in)
-        free = c_n - linalg.rank(d_out) - len(factors)
+        coboundaries = sl.delta_in
+        if relations:
+            kernel = linalg.integer_kernel_basis(r_in, cols=len(sl.basis_below))
+            coboundaries = [[sum(map(operator.mul, row, b)) for b in kernel]
+                            for row in sl.delta_in]
+        factors = linalg.smith_normal_form(coboundaries)
+        free = c_n - linalg.rank(stacked) - len(factors)
         return AbelianGroupSummary(coeff, free, tuple(d for d in factors if d > 1))
     p = coeff.p if coeff.kind == "Zp" else None
-    dim = c_n - linalg.rank(d_out, p) - linalg.rank(d_in, p)
-    return AbelianGroupSummary(coeff, dim)
+    exact = linalg.rank(sl.delta_in, p) - linalg.rank(r_in, p)
+    return AbelianGroupSummary(coeff, c_n - linalg.rank(stacked, p) - exact)
+
+
+def cohomology_Q(q: Quandle, n: int, coeff) -> AbelianGroupSummary:
+    """H^n of the A-valued cochain complex (the formula with no relations)."""
+    coeff = coeff if isinstance(coeff, Coeff) else Coeff.parse(coeff)
+    return _cohomology(cochain_slice(q, n), coeff)
 
 
 def symmetric_cohomology(q: Quandle, rho, n: int, coeff) -> AbelianGroupSummary:
-    """H^n for a quandle with good involution rho (see the module docstring).
-
-    Cocycles must vanish on the degree-n involution relations; the quotient is
-    by every quandle coboundary lying in that space.
-    """
+    """H^n for a quandle with good involution rho (see the module docstring)."""
     if isinstance(rho, SymmetricQuandle):
         if rho.quandle != q:
             raise ValueError("symmetric structure belongs to a different quandle")
@@ -230,30 +235,7 @@ def symmetric_cohomology(q: Quandle, rho, n: int, coeff) -> AbelianGroupSummary:
         rho = tuple(rho)
         SymmetricQuandle(q, rho)  # raises unless rho is a good involution
     coeff = coeff if isinstance(coeff, Coeff) else Coeff.parse(coeff)
-    sl = cochain_slice(q, n, rho)
-    d_in = [list(r) for r in sl.delta_in]
-    stacked = [list(r) for r in sl.delta_out] + [list(r) for r in sl.relations]
-    c_n = len(sl.basis)
-
-    if coeff.kind != "Z":
-        # cocycles ker S, modulo the coboundaries im(delta_in) that S kills
-        p = coeff.p if coeff.kind == "Zp" else None
-        exact = linalg.rank(d_in, p) - linalg.rank(linalg.mat_mul(stacked, d_in), p)
-        return AbelianGroupSummary(coeff, c_n - linalg.rank(stacked, p) - exact)
-
-    cocycles = linalg.integer_kernel_basis(stacked, cols=c_n)
-    z = len(cocycles)
-    if z == 0:
-        return AbelianGroupSummary(coeff, 0)
-    n_b = len(d_in[0]) if d_in else 0
-    # solve Zb*a = B*b: kernel of [Zb | -B], then read the a-parts
-    mixed = [[cocycles[k][i] for k in range(z)] + [-d_in[i][j] for j in range(n_b)]
-             for i in range(c_n)]
-    meet = linalg.integer_kernel_basis(mixed, cols=z + n_b)
-    gens = [[vec[k] for vec in meet] for k in range(z)]  # z x len(meet)
-    factors = linalg.smith_normal_form(gens) if meet else []
-    torsion = tuple(d for d in factors if d > 1)
-    return AbelianGroupSummary(coeff, z - len(factors), torsion)
+    return _cohomology(cochain_slice(q, n, rho), coeff)
 
 
 @dataclass(frozen=True)
@@ -311,8 +293,7 @@ def is_2cocycle(q: Quandle, phi: Cocycle2) -> bool:
 def two_cocycle_basis(q: Quandle):
     """Integer basis of the degree-2 cocycles, as Cocycle2 values."""
     sl = cochain_slice(q, 2)
-    kernel = linalg.integer_kernel_basis([list(r) for r in sl.delta_out],
-                                         cols=len(sl.basis))
+    kernel = linalg.integer_kernel_basis(sl.delta_out, cols=len(sl.basis))
     out = []
     for vec in kernel:
         pairs = {t: v for t, v in zip(sl.basis, vec) if v}

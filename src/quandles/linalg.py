@@ -17,10 +17,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 
-def zeros(rows: int, cols: int):
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_mul(a, b):
     """The dense product a*b; zero entries of a and b cost nothing."""
     if a and b and len(a[0]) != len(b):

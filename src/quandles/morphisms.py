@@ -54,7 +54,9 @@ class FiniteGroupTable:
 
     def __init__(self, table):
         self.table = tuple(tuple(row) for row in table)
-        self.order = len(self.table)
+        self.order = n = len(self.table)
+        if any(len(row) != n or min(row) < 0 or max(row) >= n for row in self.table):
+            raise ValueError("table entries must index elements")
         self.identity = self._find_identity()
         self._validate()
 
@@ -68,9 +70,6 @@ class FiniteGroupTable:
     def _validate(self) -> None:
         n = self.order
         t = self.table
-        for row in t:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
-                raise ValueError("table entries must index elements")
         for x in range(n):
             if self.identity not in t[x]:
                 raise ValueError(f"element {x} has no inverse")
@@ -93,9 +92,6 @@ class FiniteGroupTable:
                     if y not in reached:
                         reached.add(y)
                         pending.append(y)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
 
     def element_order(self, a: int) -> int:
         k, x = 1, a

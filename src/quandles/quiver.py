@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cohomology import Cocycle2, is_2cocycle
+from .limits import Budget
 from .links import Coloring, LinkDiagram, colorings
 from .morphisms import QuandleMap
 from .quandle import Quandle
 
-MAX_QUIVER_VERTICES = 24
+MAX_QUIVER_VERTICES = 128
 
 
 class GroupRingElement:
@@ -121,7 +122,8 @@ def _vertex_signature(qv: Quiver):
 
 def quiver_isomorphic(q1: Quiver, q2: Quiver,
                       max_vertices: int = MAX_QUIVER_VERTICES) -> bool:
-    """Exact search for a vertex bijection matching edge multiplicities."""
+    """Exact search for a vertex bijection matching edge multiplicities; each
+    candidate image tried is one node of a "quiver" Budget."""
     if q1.n_vertices != q2.n_vertices or len(q1.edges) != len(q2.edges):
         return False
     n = q1.n_vertices
@@ -135,6 +137,7 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver,
     m1, m2 = q1.multiplicity, q2.multiplicity
     mapping = [-1] * n
     used = [False] * n
+    budget = Budget("quiver")
 
     def extend(pos: int) -> bool:
         if pos == n:
@@ -143,6 +146,7 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver,
         for w in candidates[v]:
             if used[w]:
                 continue
+            budget.spend()
             ok = True
             for prev in order[:pos]:
                 pw = mapping[prev]

@@ -3,7 +3,7 @@
 from itertools import permutations, product
 from pathlib import Path
 
-from quandles import Coloring, LinkDiagram, Quandle, parse_diagram
+from quandles import Coloring, LinkDiagram, Quandle, cochain_slice, linalg, parse_diagram
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -111,3 +111,27 @@ def p_coloring_tuple_predicate(sigma, weights, combo):
         if twist % len(sigma.orbit_of(combo[j])):
             return False
     return True
+
+
+def two_kernel_symmetric_cohomology_z(q: Quandle, rho, n: int):
+    """Symmetric H^n over Z as (free rank, torsion), by two integer kernels.
+
+    The cocycles are a kernel basis Zb of delta_out stacked with the relation
+    rows; the coboundaries among them are the a-parts of the kernel of
+    [Zb | -delta_in] (Zb*a = delta_in*b), whose Smith form gives the quotient.
+    """
+    sl = cochain_slice(q, n, rho)
+    stacked = [list(r) for r in sl.delta_out] + [list(r) for r in sl.relations]
+    d_in = [list(r) for r in sl.delta_in]
+    c_n = len(sl.basis)
+    cocycles = linalg.integer_kernel_basis(stacked, cols=c_n)
+    z = len(cocycles)
+    if z == 0:
+        return 0, ()
+    n_b = len(sl.basis_below)
+    mixed = [[cocycles[k][i] for k in range(z)] + [-d_in[i][j] for j in range(n_b)]
+             for i in range(c_n)]
+    meet = linalg.integer_kernel_basis(mixed, cols=z + n_b)
+    gens = [[vec[k] for vec in meet] for k in range(z)]
+    factors = linalg.smith_normal_form(gens) if meet else []
+    return z - len(factors), tuple(d for d in factors if d > 1)

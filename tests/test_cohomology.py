@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from helpers import two_kernel_symmetric_cohomology_z
 from quandles import (
     Cocycle2,
     Coeff,
@@ -11,6 +12,8 @@ from quandles import (
     cohomology_Q,
     conjugacy_class_representatives,
     dihedral,
+    format_cycles,
+    good_involutions,
     is_2cocycle,
     p_quandle,
     parse_cycles,
@@ -59,7 +62,10 @@ def test_chain_complex_law(q):
         b_n = boundary_matrix(q, n)
         b_next = boundary_matrix(q, n + 1)
         assert linalg.is_zero_matrix(linalg.mat_mul(b_n, b_next))
-        cochain_slice(q, n)  # raises if the dual composition is nonzero
+        sl = cochain_slice(q, n)  # raises if the dual composition is nonzero
+        # the slice's coboundary rows are the boundaries, transposed
+        assert [list(r) for r in sl.delta_in] == linalg.transpose(b_n)
+        assert [list(r) for r in sl.delta_out] == linalg.transpose(b_next)
 
 
 def test_boundary_bounds():
@@ -171,6 +177,9 @@ def test_symmetric_cohomology_known_values():
     assert str(symmetric_cohomology(P3, (0, 2, 1), 2, "Z")) == "0"
     assert symmetric_cohomology(P3, (0, 2, 1), 2, "Q").rank == 0
     assert symmetric_cohomology(P3, (0, 2, 1), 2, "Z3").rank == 0
+    # over Z: a free part that the relations leave, and torsion in degree 3
+    assert str(symmetric_cohomology(trivial(4), (1, 0, 3, 2), 2, "Z")) == "Z^2"
+    assert str(symmetric_cohomology(dihedral(4), (0, 3, 2, 1), 3, "Z")) == "Z/2"
 
 
 def test_symmetric_cohomology_rejects_bad_involution():
@@ -223,6 +232,23 @@ def test_symmetric_cohomology_matches_brute_force_mod2(q, rho):
     expected_order = _brute_force_symmetric_h2_mod2(q, rho)
     got = symmetric_cohomology(q, rho, 2, "Z2")
     assert 2**got.rank == expected_order
+
+
+SYMMETRIC_ORACLE_QUANDLES = {
+    **{f"T{m}": trivial(m) for m in (3, 4)},
+    **{f"R{m}": dihedral(m) for m in (3, 4, 5, 6)},
+    **{f"P{n} {format_cycles(sigma)}": p_quandle(n, sigma)
+       for n in (1, 2, 3, 4) for sigma in conjugacy_class_representatives(n)},
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_ORACLE_QUANDLES)
+def test_symmetric_cohomology_matches_two_kernel_oracle(name):
+    q = SYMMETRIC_ORACLE_QUANDLES[name]
+    for sym in good_involutions(q):
+        for n in (2, 3):
+            got = symmetric_cohomology(q, sym.rho, n, "Z")
+            assert (got.rank, got.torsion) == two_kernel_symmetric_cohomology_z(q, sym.rho, n)
 
 
 def test_symmetric_relations_rows_respected_by_kernel():

@@ -120,12 +120,12 @@ def test_trivial_quandle_all_involutions_good():
 
 def test_symmetric_quandle_validation():
     SymmetricQuandle(P3, (0, 2, 1))
-    with pytest.raises(ValueError):
-        SymmetricQuandle(P3, (1, 0, 2))  # moves 0: second law fails
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rho\(x\*y\) = rho\(x\)\*y fails at \(0,0\)$"):
+        SymmetricQuandle(P3, (1, 0, 2))  # moves 0: rho(0*0) = 1, rho(0)*0 = 2
+    with pytest.raises(ValueError, match=r"^x\*rho\(y\) = bar\(x,y\) fails at \(1,0\)$"):
         SymmetricQuandle(p_quandle(3, parse_cycles("(1 2 3)", 3)), (0, 1, 2, 3))
-    with pytest.raises(ValueError):
-        SymmetricQuandle(P3, (1, 2, 0))  # not an involution
+    with pytest.raises(ValueError, match="^rho is not an involution at 0$"):
+        SymmetricQuandle(P3, (1, 2, 0))
 
 
 def test_returned_symmetric_quandles_pass_both_laws():

@@ -161,6 +161,10 @@ def test_finite_group_table_validation():
     assert c3.element_orders() == [1, 3, 3]
     with pytest.raises(ValueError):
         FiniteGroupTable([[0, 1], [1, 1]])  # 1 has no inverse / not a group
+    # the shape check runs before the identity search reads a short row
+    for table in ([[1], [0, 1]], [[0, 1], [1, 2]], [[0, -1], [1, 0]]):
+        with pytest.raises(ValueError, match="^table entries must index elements$"):
+            FiniteGroupTable(table)
 
 
 def test_quandle_map_compose():

@@ -10,6 +10,7 @@ from quandles import (
     LinkingGraph,
     Quiver,
     QuandleMap,
+    SearchCapError,
     cocycle_invariant,
     colorings,
     endomorphisms,
@@ -127,6 +128,20 @@ def test_quiver_isomorphic_matches_networkx(q):
             assert quiver_isomorphic(qa, qb) == verdicts[-1]
     assert any(a == b for qv in quivers for a, b in qv.edges)
     assert True in verdicts and False in verdicts
+
+
+def test_quiver_isomorphic_honours_the_search_cap(monkeypatch):
+    # 27 vertices, more than the old default bound of 24; one node is spent
+    # per candidate image tried
+    d = synthesize_link(LinkingGraph(((0, 2, 2), (2, 0, 2), (2, 2, 0))))
+    qv = quiver(d, P3, endomorphisms(P3))
+    assert qv.n_vertices == 27
+    other = _renumbered(qv, random.Random(0))
+    assert quiver_isomorphic(qv, other)
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "3")
+    with pytest.raises(SearchCapError, match="^quiver search exceeded 3 nodes$") as exc:
+        quiver_isomorphic(qv, other)
+    assert exc.value.budget.nodes == 4
 
 
 def test_quiver_dot_golden_file():
