@@ -16,7 +16,7 @@ import sys
 from . import cohomology as coh
 from . import invariants, links, morphisms
 from .quiver import cocycle_invariant, quiver as build_quiver, quiver_dot
-from .permutations import parse_cycles
+from .permutations import _format_image, _parse_image, parse_cycles
 from .quandle import Quandle, dihedral, p_quandle, trivial
 
 
@@ -53,46 +53,6 @@ def load_diagram(path: str) -> links.LinkDiagram:
     return _parse_file(path, links.parse_diagram)
 
 
-def parse_cycles_0based(text: str, m: int) -> tuple:
-    """Cycle notation over quandle elements 0..m-1 (0 is an ordinary point)."""
-    shifted = "".join(str(int(tok) + 1) if tok.isdigit() else tok
-                      for tok in _tokenize(text))
-    perm = parse_cycles(shifted, m)
-    return tuple(v - 1 for v in perm.image)
-
-
-def format_cycles_0based(image) -> str:
-    seen = set()
-    parts = []
-    for start in range(len(image)):
-        if start in seen or image[start] == start:
-            seen.add(start)
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = image[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = image[nxt]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"
-
-
-def _tokenize(text: str):
-    token = ""
-    for ch in text:
-        if ch.isdigit():
-            token += ch
-        else:
-            if token:
-                yield token
-                token = ""
-            yield ch
-    if token:
-        yield token
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         text = json.dumps(payload, sort_keys=True)
@@ -126,7 +86,7 @@ def _cmd_aut(args) -> int:
     maps, group = morphisms.automorphism_group(q)
     payload = {"order": group.order, "maps": [list(f.image) for f in maps]}
     lines = [f"|Aut| = {group.order}"]
-    lines += [format_cycles_0based(f.image) for f in maps]
+    lines += [_format_image(f.image, 0) for f in maps]
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -178,7 +138,7 @@ def _cmd_goodinv(args) -> int:
     found = invariants.good_involutions(q)
     payload = {"count": len(found), "involutions": [list(s.rho) for s in found]}
     lines = [f"{len(found)} good involutions"]
-    lines += [format_cycles_0based(s.rho) for s in found]
+    lines += [_format_image(s.rho, 0) for s in found]
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -187,7 +147,7 @@ def _cmd_cohomology(args) -> int:
     q = load_quandle(args.quandle)
     coeff = coh.Coeff.parse(args.coeff)
     if args.rho is not None:
-        rho = parse_cycles_0based(args.rho, q.m)
+        rho = _parse_image(args.rho, q.m, 0)
         summary = coh.symmetric_cohomology(q, rho, args.degree, coeff)
     else:
         summary = coh.cohomology_Q(q, args.degree, coeff)
@@ -334,6 +294,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if [] in vars(args).values():  # what argparse makes of `--opt=--`
+            raise ValueError("an option's value cannot be '--'")
         return args.fn(args)
     except BrokenPipeError:
         # the reader left (as `| head` does); devnull takes the flush at exit

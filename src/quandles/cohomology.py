@@ -28,7 +28,6 @@ c_n - rk S - (rk delta_in - rk(R*delta_in)).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -82,10 +81,6 @@ class AbelianGroupSummary:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " (+) ".join(parts) if parts else "0"
 
-    @property
-    def dimension(self) -> int:
-        return self.rank
-
 
 def tuple_basis(q: Quandle, n: int):
     """Non-degenerate n-tuples (no adjacent repeat) in lexicographic order."""
@@ -135,16 +130,12 @@ def _coboundary_rows(q: Quandle, basis, lower):
     return tuple(rows)
 
 
-def rho_relation_rows(q: Quandle, rho, n: int):
+def _relation_rows(q: Quandle, rho, n: int, basis):
     """Involution relations of degree n as integer rows over the tuple basis.
 
     Each row is the indicator of a sum T + T'; coefficients are kept as-is
     (a relation 2*f(T) = 0 must stay 2, it is vacuous mod 2).
     """
-    return [list(r) for r in _relation_rows(q, rho, n, tuple_basis(q, n))]
-
-
-def _relation_rows(q: Quandle, rho, n: int, basis):
     index = {t: i for i, t in enumerate(basis)}
     rows = set()
     for t in itertools.product(q.elements, repeat=n):
@@ -209,8 +200,7 @@ def _cohomology(sl: CochainComplexSlice, coeff: Coeff) -> AbelianGroupSummary:
         coboundaries = sl.delta_in
         if relations:
             kernel = linalg.integer_kernel_basis(r_in, cols=len(sl.basis_below))
-            coboundaries = [[sum(map(operator.mul, row, b)) for b in kernel]
-                            for row in sl.delta_in]
+            coboundaries = linalg.mat_mul(sl.delta_in, linalg.transpose(kernel))
         factors = linalg.smith_normal_form(coboundaries)
         free = c_n - linalg.rank(stacked) - len(factors)
         return AbelianGroupSummary(coeff, free, tuple(d for d in factors if d > 1))

@@ -58,9 +58,10 @@ class LinkDiagram:
         if any(a < 0 for a in used):
             raise DiagramError("negative arc label")
         self.n_arcs = max(used) + 1
-        missing = set(range(self.n_arcs)) - used
-        if missing:
-            raise DiagramError(f"arc labels must be contiguous; missing {sorted(missing)}")
+        if len(used) < self.n_arcs:
+            least = next(a for a in range(self.n_arcs) if a not in used)
+            raise DiagramError(f"arc labels must be contiguous; {self.n_arcs - len(used)} "
+                               f"missing, the least is {least}")
         if len(set(self.free_loops)) != len(self.free_loops):
             raise DiagramError("duplicate free loop declaration")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .limits import Budget
+from .limits import Budget, SearchCapError
 from .quandle import Quandle
 from .solve import solve
 
@@ -142,7 +142,12 @@ def is_isomorphic(x: Quandle, y: Quandle, cap: int | None = None) -> QuandleMap 
 
 def _group_table(images):
     """Composition table of a list of permutations given as image tuples, which
-    must be closed; row f, column g holds f after g."""
+    must be closed; row f, column g holds f after g. Each of its |G|^2 cells
+    is a node of one Budget, charged before any is built."""
+    budget = Budget("group")
+    budget.nodes = len(images) ** 2
+    if budget.nodes > budget.cap:
+        raise SearchCapError(budget)
     index = {image: i for i, image in enumerate(images)}
     try:
         table = [[index[tuple(map(f.__getitem__, g))] for g in images] for f in images]

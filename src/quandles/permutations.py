@@ -2,6 +2,8 @@
 
 Permutations are immutable; ``image[i]`` is the image of the point ``i + 1``.
 Composition is function composition: ``compose(a, b)`` maps x to a(b(x)).
+One cycle-notation codec serves these points and quandle elements, which
+start at 0 instead of 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class Permutation:
     def __init__(self, image):
         image = tuple(image)
         n = len(image)
-        if sorted(image) != list(range(1, n + 1)):
+        if any(type(v) is not int for v in image) or sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {image}")
         self.n = n
         self.image = image
@@ -77,50 +79,67 @@ class Permutation:
     @classmethod
     def from_json(cls, text: str) -> "Permutation":
         data = json.loads(text)
-        perm = cls(data["image"])
-        if perm.n != data["n"]:
+        image = data.get("image") if isinstance(data, dict) else None
+        if not isinstance(image, list):
+            raise ValueError('permutation JSON needs an "image" field: a list of points')
+        perm = cls(image)
+        if perm.n != data.get("n"):
             raise ValueError("degree field does not match image length")
         return perm
 
 
-def parse_cycles(text: str, n: int) -> Permutation:
-    """Parse disjoint cycle notation like "(1 2 3)(4 5)"; "()" or "" is the identity."""
+def _cycles(image, first: int):
+    """The cycles of the map i + first -> image[i], fixed points included: each
+    walked from its least point, listed in order of least point."""
+    seen = set()  # points walked to; a cycle's least point is never walked to
+    cycles = []
+    for start, p in enumerate(image, first):
+        if start not in seen:
+            cycle = [start]
+            while p != start:
+                seen.add(p)
+                cycle.append(p)
+                p = image[p - first]
+            cycles.append(cycle)
+    return cycles
+
+
+def _parse_image(text: str, n: int, first: int) -> tuple:
+    """The image tuple of disjoint cycle notation like "(1 2 3)(4 5)" on the
+    points first..first+n-1; "()" or "" is the identity."""
     stripped = text.strip()
-    leftover = _CYCLE_RE.sub("", stripped).strip()
-    if leftover:
+    if _CYCLE_RE.sub("", stripped).strip():
         raise ValueError(f"malformed cycle notation: {text!r}")
-    image = list(range(1, n + 1))
+    image = list(range(first, first + n))
     seen = set()
     for body in _CYCLE_RE.findall(stripped):
         points = [int(tok) for tok in body.split()]
-        if not points:
-            continue
         for p in points:
-            if not 1 <= p <= n:
-                raise ValueError(f"point {p} exceeds degree {n}")
+            if not first <= p < first + n:
+                raise ValueError(f"point {p} outside {first}..{first + n - 1}")
             if p in seen:
-                raise ValueError(f"point {p} repeated across cycles")
+                raise ValueError(f"point {p} repeated")
             seen.add(p)
         for a, b in zip(points, points[1:] + points[:1]):
-            image[a - 1] = b
-    return Permutation(image)
+            image[a - first] = b
+    return tuple(image)
+
+
+def _format_image(image, first: int) -> str:
+    """Cycle notation of an image tuple on first..; fixed points omitted, the
+    identity as "()"."""
+    return "".join("(" + " ".join(map(str, c)) + ")"
+                   for c in _cycles(image, first) if len(c) > 1) or "()"
+
+
+def parse_cycles(text: str, n: int) -> Permutation:
+    """Parse disjoint cycle notation like "(1 2 3)(4 5)"; "()" or "" is the identity."""
+    return Permutation(_parse_image(text, n, 1))
 
 
 def format_cycles(a: Permutation) -> str:
     """Cycle notation with fixed points omitted; identity renders as "()"."""
-    cycles = [o for o in orbits(a) if len(o) > 1]
-    if not cycles:
-        return "()"
-    parts = []
-    for orb in cycles:
-        cyc = [orb[0]]
-        while True:
-            nxt = a(cyc[-1])
-            if nxt == cyc[0]:
-                break
-            cyc.append(nxt)
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts)
+    return _format_image(a.image, 1)
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
@@ -144,19 +163,7 @@ def order(a: Permutation) -> int:
 
 def orbits(a: Permutation):
     """Partition of {1..n} into cycles, each sorted, listed by least element."""
-    seen = [False] * a.n
-    out = []
-    for start in range(1, a.n + 1):
-        if seen[start - 1]:
-            continue
-        orb = []
-        p = start
-        while not seen[p - 1]:
-            seen[p - 1] = True
-            orb.append(p)
-            p = a(p)
-        out.append(sorted(orb))
-    return out
+    return [sorted(c) for c in _cycles(a.image, 1)]
 
 
 def is_conjugate(a: Permutation, b: Permutation) -> bool:
@@ -176,11 +183,8 @@ def conjugator(a: Permutation, b: Permutation) -> Permutation | None:
 
     def cycles_in_order(p):
         by_len = {}
-        for orb in p.orbit_list:
-            cyc = [orb[0]]
-            while len(cyc) < len(orb):
-                cyc.append(p(cyc[-1]))
-            by_len.setdefault(len(orb), []).append(cyc)
+        for cyc in _cycles(p.image, 1):
+            by_len.setdefault(len(cyc), []).append(cyc)
         return by_len
 
     ca, cb = cycles_in_order(a), cycles_in_order(b)

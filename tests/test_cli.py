@@ -2,18 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import quandles
 from helpers import FIXTURES
-from quandles.cli import (
-    format_cycles_0based,
-    load_quandle,
-    main,
-    parse_cycles_0based,
-)
+from quandles.cli import load_quandle, main
+from quandles.permutations import _format_image, _parse_image
 
 HOPF = str(FIXTURES / "hopf_pos.lnk")
 
@@ -233,11 +230,11 @@ def test_output_is_deterministic(capsys):
 
 
 def test_cycle_notation_helpers():
-    assert parse_cycles_0based("(1 2)", 3) == (0, 2, 1)
-    assert parse_cycles_0based("(0 1)", 3) == (1, 0, 2)
-    assert format_cycles_0based((0, 2, 1)) == "(1 2)"
-    assert format_cycles_0based((0, 1, 2)) == "()"
-    assert parse_cycles_0based("()", 2) == (0, 1)
+    assert _parse_image("(1 2)", 3, 0) == (0, 2, 1)
+    assert _parse_image("(0 1)", 3, 0) == (1, 0, 2)
+    assert _format_image((0, 2, 1), 0) == "(1 2)"
+    assert _format_image((0, 1, 2), 0) == "()"
+    assert _parse_image("()", 2, 0) == (0, 1)
 
 
 def test_lk_json_round_trips_into_linking_graph(capsys):
@@ -262,3 +259,44 @@ def test_search_cap_env_zero_is_a_valid_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "aut", "R 3")
     assert code == 1 and out == ""
     assert err == "error: hom search exceeded 0 nodes\n"
+
+
+@pytest.mark.parametrize("rho, message", [
+    ("(1 2)(3 4)", "point 4 outside 0..3"),
+    ("(1 2 1)", "point 1 repeated"),
+    ("(1 2", "malformed cycle notation: '(1 2'"),
+])
+def test_rho_errors_name_the_point_as_typed(capsys, rho, message):
+    code, out, err = run(capsys, "cohomology", "R 4", "--degree", "2", "--rho", rho)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_aut_refuses_a_group_table_over_the_cap(capsys, monkeypatch):
+    monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "aut", "T 8")  # 40320^2 cells
+    assert code == 1 and out == ""
+    assert err == "error: group search exceeded 10000000 nodes\n"
+    assert time.perf_counter() - start < 20
+
+
+@pytest.mark.parametrize("argv, cells, head", [
+    (("aut", "T 5"), 120**2, "|Aut| = 120"),
+    (("inn", "R 5"), 10**2, "|Inn| = 10, cyclic: no"),
+])
+def test_group_table_answers_at_a_cap_of_its_cells(capsys, monkeypatch, argv, cells, head):
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cells))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[0] == head
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cells - 1))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: group search exceeded {cells - 1} nodes\n"
+
+
+@pytest.mark.parametrize("option", ("--rho=--", "--degree=--", "--coeff=--"))
+def test_an_option_valued_double_dash_is_a_one_line_error(capsys, option):
+    code, out, err = run(capsys, "cohomology", "R 4", option)
+    assert code == 1 and out == ""
+    assert err == "error: an option's value cannot be '--'\n"

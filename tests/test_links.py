@@ -57,6 +57,16 @@ def test_parse_errors():
         parse_diagram("X 0 3 1 +\nX 1 3 0 +\nO 3\n")  # arc 2 missing
 
 
+@pytest.mark.parametrize("text, message", [
+    ("X 0 3 1 +\nX 1 3 0 +\nO 3\n", "1 missing, the least is 2"),
+    ("O 3000000\n", "3000000 missing, the least is 0"),
+])
+def test_contiguity_error_counts_the_missing_labels(text, message):
+    with pytest.raises(DiagramError) as err:
+        parse_diagram(text)
+    assert str(err.value) == f"arc labels must be contiguous; {message}"
+
+
 def test_parse_comments_and_roundtrip():
     text = "# comment\nX 0 1 0 +\n\nX 1 0 1 +\n"
     d = parse_diagram(text)

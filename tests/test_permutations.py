@@ -1,11 +1,16 @@
 import math
 import random
+import re
 from itertools import permutations as iter_perms
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles.permutations import (
     Permutation,
+    _format_image,
+    _parse_image,
     all_permutations,
     centralizer,
     compose,
@@ -154,6 +159,28 @@ def test_cycle_format_round_trip():
     assert format_cycles(Permutation.identity(3)) == "()"
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))),
+       st.sampled_from((0, 1)))
+def test_cycle_codec_round_trips_in_both_labellings(points, first):
+    image = tuple(p + first for p in points)
+    text = _format_image(image, first)
+    assert _parse_image(text, len(image), first) == image
+    if first == 1:
+        assert format_cycles(Permutation(image)) == text
+
+
+@pytest.mark.parametrize("text, first, message", [
+    ("(1 4)", 1, "point 4 outside 1..3"),
+    ("(0 3)", 0, "point 3 outside 0..2"),
+    ("(0 1 0)", 0, "point 0 repeated"),
+    ("(1 2)(2 3)", 1, "point 2 repeated"),
+])
+def test_codec_errors_name_the_point_as_typed(text, first, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        _parse_image(text, 3, first)
+
+
 def test_representatives_cover_all_cycle_types():
     for n in (3, 4, 5):
         reps = conjugacy_class_representatives(n)
@@ -164,3 +191,16 @@ def test_representatives_cover_all_cycle_types():
 def test_json_round_trip():
     a = P("(1 2 3)", 4)
     assert Permutation.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("text", ["{}", "[1]", '{"n": 1}', '{"n": 2, "image": 5}',
+                                  '{"n": 2, "image": [1, "2"]}'])
+def test_from_json_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        Permutation.from_json(text)
+
+
+@pytest.mark.parametrize("image", [(True, 2), (2, True), (1.0, 2.0)])
+def test_constructor_rejects_non_integer_points(image):
+    with pytest.raises(ValueError):
+        Permutation(image)
