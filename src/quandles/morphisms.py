@@ -140,11 +140,11 @@ def is_isomorphic(x: Quandle, y: Quandle, cap: int | None = None) -> QuandleMap 
     return found[0] if found else None
 
 
-def _group_table(images):
+def _group_table(images, cap: int | None):
     """Composition table of a list of permutations given as image tuples, which
     must be closed; row f, column g holds f after g. Each of its |G|^2 cells
     is a node of one Budget, charged before any is built."""
-    budget = Budget("group")
+    budget = Budget("group", cap)
     budget.nodes = len(images) ** 2
     if budget.nodes > budget.cap:
         raise SearchCapError(budget)
@@ -159,7 +159,7 @@ def _group_table(images):
 def automorphism_group(q: Quandle, cap: int | None = None):
     """All bijective endomorphisms with their composition table."""
     maps = _search(q, q, cap, bijective=True)
-    return maps, _group_table([f.image for f in maps])
+    return maps, _group_table([f.image for f in maps], cap)
 
 
 def inner_group(q: Quandle) -> FiniteGroupTable:
@@ -176,7 +176,7 @@ def inner_group(q: Quandle) -> FiniteGroupTable:
                     elems.add(c)
                     nxt.append(c)
         frontier = nxt
-    return _group_table(sorted(elems))
+    return _group_table(sorted(elems), None)
 
 
 def hom_quandle(x: Quandle, a: Quandle, cap: int | None = None):

@@ -53,18 +53,15 @@ def test_parse_errors():
         parse_diagram("X 0 1 0 +\nX 0 1 0 +\n")  # arc 0 under_in twice
     with pytest.raises(DiagramError):
         parse_diagram("X 0 1 0 +\nX 1 0 1 +\nO 1\n")  # free loop also under
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match="^arc labels must be contiguous; "
+                       "1 missing, the least is 2$"):
         parse_diagram("X 0 3 1 +\nX 1 3 0 +\nO 3\n")  # arc 2 missing
 
 
-@pytest.mark.parametrize("text, message", [
-    ("X 0 3 1 +\nX 1 3 0 +\nO 3\n", "1 missing, the least is 2"),
-    ("O 3000000\n", "3000000 missing, the least is 0"),
-])
-def test_contiguity_error_counts_the_missing_labels(text, message):
+def test_contiguity_error_counts_the_missing_labels():
     with pytest.raises(DiagramError) as err:
-        parse_diagram(text)
-    assert str(err.value) == f"arc labels must be contiguous; {message}"
+        parse_diagram("O 3000000\n")
+    assert str(err.value) == "arc labels must be contiguous; 3000000 missing, the least is 0"
 
 
 def test_parse_comments_and_roundtrip():

@@ -67,6 +67,14 @@ def test_hom_search_cap():
         homs(trivial(3), trivial(3), cap=5)
 
 
+def test_automorphism_group_table_obeys_the_given_cap(monkeypatch):
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "1000")  # below Aut(T5)'s 120^2 cells
+    assert automorphism_group(trivial(5), cap=120**2)[1].order == 120
+    with pytest.raises(SearchCapError) as err:
+        automorphism_group(trivial(5), cap=120**2 - 1)
+    assert (err.value.budget.what, err.value.budget.nodes) == ("group", 120**2)
+
+
 def test_automorphism_groups():
     maps, group = automorphism_group(P3)
     assert group.order == 2
