@@ -227,6 +227,8 @@ def _cmd_quiver(args) -> int:
 def _cmd_phi(args) -> int:
     d = load_diagram(args.diagram)
     q = load_quandle(args.quandle)
+    if args.theta != q.m - 1:  # before any cochain of order N+1 is built
+        raise ValueError("cochain size does not match the quandle")
     theta = coh.theta_cocycle(args.theta)
     value = cocycle_invariant(d, q, theta)
     payload = {"coeffs": {str(k): v for k, v in sorted(value.coeffs.items())},

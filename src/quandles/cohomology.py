@@ -28,13 +28,13 @@ c_n - rk S - (rk delta_in - rk(R*delta_in)).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
 from .invariants import SymmetricQuandle
+from .limits import Budget
 from .quandle import Quandle
-
-MAX_TUPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,13 @@ class Coeff:
     @classmethod
     def parse(cls, text: str) -> "Coeff":
         text = text.strip()
-        if text == "Z":
-            return cls("Z")
-        if text == "Q":
-            return cls("Q")
+        if text in ("Z", "Q"):
+            return cls(text)
         if text.startswith("Z") and text[1:].isdigit():
             p = int(text[1:])
-            if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            root = math.isqrt(p)
+            Budget("primality", root - 1)  # a node per trial divisor 2..root
+            if p < 2 or any(p % d == 0 for d in range(2, root + 1)):
                 raise ValueError(f"modulus {p} is not prime")
             return cls("Zp", p)
         raise ValueError(f"unsupported coefficients {text!r} (use Z, Q, or Zp)")
@@ -84,20 +84,18 @@ class AbelianGroupSummary:
 
 def tuple_basis(q: Quandle, n: int):
     """Non-degenerate n-tuples (no adjacent repeat) in lexicographic order."""
-    if n < 1:
-        return []
-    basis = []
-    for t in itertools.product(q.elements, repeat=n):
-        if all(t[i] != t[i + 1] for i in range(n - 1)):
-            basis.append(t)
-    return basis
+    tuples = itertools.product(q.elements, repeat=n) if n >= 1 else ()
+    return [t for t in tuples if all(t[i] != t[i + 1] for i in range(n - 1))]
 
 
-def _check_degree(q: Quandle, n: int, lo: int, hi: int) -> None:
+def _check_degree(n: int, lo: int, hi: int) -> None:
     if not lo <= n <= hi:
         raise ValueError(f"degree {n} outside supported range {lo}..{hi}")
-    if q.m**n > MAX_TUPLES:
-        raise ValueError(f"{q.m}^{n} tuples exceed the {MAX_TUPLES} bound")
+
+
+def _size(q: Quandle, n: int) -> int:
+    """len(tuple_basis(q, n)) for n >= 1, without building it."""
+    return q.m * (q.m - 1) ** (n - 1)
 
 
 def boundary_matrix(q: Quandle, n: int):
@@ -105,9 +103,11 @@ def boundary_matrix(q: Quandle, n: int):
 
     Rows are indexed by the (n-1)-tuple basis, columns by the n-tuple basis;
     image tuples that are degenerate are dropped (they vanish in the quotient).
-    It is the transpose of the coboundary rows that `cochain_slice` builds.
+    It is the transpose of the coboundary rows that `cochain_slice` builds,
+    whose dense cells are nodes of one Budget, charged before any is built.
     """
-    _check_degree(q, n, 2, 4)
+    _check_degree(n, 2, 4)
+    Budget("cochain", _size(q, n) * _size(q, n - 1))
     lower = tuple_basis(q, n - 1)
     rows = _coboundary_rows(q, tuple_basis(q, n), lower)
     return [[row[i] for row in rows] for i in range(len(lower))]
@@ -175,8 +175,12 @@ class CochainComplexSlice:
 
 
 def cochain_slice(q: Quandle, n: int, rho=None) -> CochainComplexSlice:
-    """Build the degree-n slice; 2 <= n <= 3 so that the degree n+1 boundary exists."""
-    _check_degree(q, n, 2, 3)
+    """Build the degree-n slice; 2 <= n <= 3 so that the degree n+1 boundary exists.
+    Its dense cells, with one relation row per n-tuple and position before
+    duplicates go, are nodes of one Budget, charged before any is built."""
+    _check_degree(n, 2, 3)
+    relations = 0 if rho is None else n * q.m**n
+    Budget("cochain", _size(q, n) * (_size(q, n - 1) + _size(q, n + 1) + relations))
     below, basis, above = (tuple(tuple_basis(q, k)) for k in (n - 1, n, n + 1))
     return CochainComplexSlice(
         quandle=q,
@@ -252,10 +256,7 @@ def theta_cocycle(n: int) -> Cocycle2:
     (0, positive), 0 elsewhere. Multiplicatively this is the cocycle t^e."""
     if n < 1:
         raise ValueError("n must be positive")
-    values = [[0] * (n + 1) for _ in range(n + 1)]
-    for y in range(1, n + 1):
-        values[0][y] = 1
-    return Cocycle2(n + 1, tuple(tuple(r) for r in values))
+    return Cocycle2(n + 1, ((0,) + (1,) * n,) + ((0,) * (n + 1),) * n)
 
 
 def is_2cocycle(q: Quandle, phi: Cocycle2) -> bool:
@@ -284,8 +285,5 @@ def two_cocycle_basis(q: Quandle):
     """Integer basis of the degree-2 cocycles, as Cocycle2 values."""
     sl = cochain_slice(q, 2)
     kernel = linalg.integer_kernel_basis(sl.delta_out, cols=len(sl.basis))
-    out = []
-    for vec in kernel:
-        pairs = {t: v for t, v in zip(sl.basis, vec) if v}
-        out.append(Cocycle2.from_pairs(q.m, pairs))
-    return out
+    return [Cocycle2.from_pairs(q.m, {t: v for t, v in zip(sl.basis, vec) if v})
+            for vec in kernel]

@@ -152,12 +152,12 @@ def _involutions(q: Quandle, budget: Budget):
     return out
 
 
-def good_involutions(q: Quandle, cap: int | None = None):
+def good_involutions(q: Quandle):
     """All good involutions of q: the involutions that pair only mutually
     inverse columns, filtered by both laws (the SymmetricQuandle check); an
-    "involution" Budget with the given cap counts the involutions built."""
+    "involution" Budget counts the involutions built."""
     found = []
-    for rho in _involutions(q, Budget("involution", cap)):
+    for rho in _involutions(q, Budget("involution")):
         try:
             found.append(SymmetricQuandle(q, rho))
         except ValueError:  # a law fails: rho is built as an involution

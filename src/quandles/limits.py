@@ -1,4 +1,4 @@
-"""Shared search-size limits for the enumeration routines."""
+"""The one limit on work: QUANDLE_SEARCH_CAP nodes per search or build."""
 
 from __future__ import annotations
 
@@ -16,26 +16,28 @@ class SearchCapError(RuntimeError):
 
 
 class Budget:
-    """Node counter of one search; spending past the cap raises SearchCapError.
+    """Node counter of one search or build; past the cap it raises SearchCapError.
 
     ``what`` names the search in the error message ("coloring", "hom", ...).
-    The cap is the explicit argument, else QUANDLE_SEARCH_CAP (a non-negative
+    ``nodes`` charges a build in full before any of it is made: a charge over
+    the cap raises at once. The cap is QUANDLE_SEARCH_CAP (a non-negative
     integer), else DEFAULT_SEARCH_CAP.
     """
 
-    def __init__(self, what: str, cap: int | None = None):
-        if cap is None:
-            env = os.environ.get("QUANDLE_SEARCH_CAP")
-            try:
-                cap = DEFAULT_SEARCH_CAP if env is None else int(env)
-            except ValueError:
-                cap = -1
-            if cap < 0:
-                raise ValueError(
-                    f"QUANDLE_SEARCH_CAP must be a non-negative integer, not {env!r}")
+    def __init__(self, what: str, nodes: int = 0):
+        env = os.environ.get("QUANDLE_SEARCH_CAP")
+        try:
+            cap = DEFAULT_SEARCH_CAP if env is None else int(env)
+        except ValueError:
+            cap = -1
+        if cap < 0:
+            raise ValueError(
+                f"QUANDLE_SEARCH_CAP must be a non-negative integer, not {env!r}")
         self.what = what
         self.cap = cap
-        self.nodes = 0
+        self.nodes = nodes
+        if nodes > cap:
+            raise SearchCapError(self)
 
     def spend(self) -> None:
         self.nodes += 1

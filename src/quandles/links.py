@@ -238,7 +238,7 @@ class Coloring:
         return True
 
 
-def colorings(d: LinkDiagram, q: Quandle, cap: int | None = None):
+def colorings(d: LinkDiagram, q: Quandle):
     """All colorings, sorted by color tuple.
 
     One solver constraint per crossing: under_out = T[under_in][over] with T
@@ -249,7 +249,7 @@ def colorings(d: LinkDiagram, q: Quandle, cap: int | None = None):
     op, bar = q.table, q.bar_table
     constraints = [(c.under_in, c.over, c.under_out) + ((op, bar) if c.sign > 0 else (bar, op))
                    for c in d.crossings]
-    found = solve(d.n_arcs, q.m, constraints, Budget("coloring", cap),
+    found = solve(d.n_arcs, q.m, constraints, Budget("coloring"),
                   order=greedy_order(d.n_arcs, constraints))
     return [Coloring(colors) for colors in sorted(found)]
 

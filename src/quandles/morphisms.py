@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .limits import Budget, SearchCapError
+from .limits import Budget
 from .quandle import Quandle
 from .solve import solve
 
@@ -111,43 +111,39 @@ class FiniteGroupTable:
                    for a in range(self.order) for b in range(self.order))
 
 
-def _search(x: Quandle, y: Quandle, cap: int | None, bijective: bool = False,
-            limit: int | None = None):
+def _search(x: Quandle, y: Quandle, bijective: bool = False, limit: int | None = None):
     """Homs X -> Y in lex order of image tuples, through one solver constraint
     f(a*b) = f(a)*f(b) per pair a != b, branching on f(0), f(1), ..."""
     sx, ty, by = x.table, y.table, y.bar_table
     constraints = [(a, b, sx[a][b], ty, by)
                    for a in range(x.m) for b in range(x.m) if a != b]
-    found = solve(x.m, y.m, constraints, Budget("hom", cap), distinct=bijective,
+    found = solve(x.m, y.m, constraints, Budget("hom"), distinct=bijective,
                   limit=limit)
     return [QuandleMap(x, y, image) for image in found]
 
 
-def homs(x: Quandle, y: Quandle, cap: int | None = None):
+def homs(x: Quandle, y: Quandle):
     """All quandle homomorphisms X -> Y, sorted by image tuple."""
-    return _search(x, y, cap)
+    return _search(x, y)
 
 
-def endomorphisms(q: Quandle, cap: int | None = None):
-    return homs(q, q, cap)
+def endomorphisms(q: Quandle):
+    return homs(q, q)
 
 
-def is_isomorphic(x: Quandle, y: Quandle, cap: int | None = None) -> QuandleMap | None:
+def is_isomorphic(x: Quandle, y: Quandle) -> QuandleMap | None:
     """The lexicographically first bijective homomorphism X -> Y, else None."""
     if x.m != y.m:
         return None
-    found = _search(x, y, cap, bijective=True, limit=1)
+    found = _search(x, y, bijective=True, limit=1)
     return found[0] if found else None
 
 
-def _group_table(images, cap: int | None):
+def _group_table(images):
     """Composition table of a list of permutations given as image tuples, which
     must be closed; row f, column g holds f after g. Each of its |G|^2 cells
     is a node of one Budget, charged before any is built."""
-    budget = Budget("group", cap)
-    budget.nodes = len(images) ** 2
-    if budget.nodes > budget.cap:
-        raise SearchCapError(budget)
+    Budget("group", len(images) ** 2)
     index = {image: i for i, image in enumerate(images)}
     try:
         table = [[index[tuple(map(f.__getitem__, g))] for g in images] for f in images]
@@ -156,10 +152,10 @@ def _group_table(images, cap: int | None):
     return FiniteGroupTable(table)
 
 
-def automorphism_group(q: Quandle, cap: int | None = None):
+def automorphism_group(q: Quandle):
     """All bijective endomorphisms with their composition table."""
-    maps = _search(q, q, cap, bijective=True)
-    return maps, _group_table([f.image for f in maps], cap)
+    maps = _search(q, q, bijective=True)
+    return maps, _group_table([f.image for f in maps])
 
 
 def inner_group(q: Quandle) -> FiniteGroupTable:
@@ -176,28 +172,24 @@ def inner_group(q: Quandle) -> FiniteGroupTable:
                     elems.add(c)
                     nxt.append(c)
         frontier = nxt
-    return _group_table(sorted(elems), None)
+    return _group_table(sorted(elems))
 
 
-def hom_quandle(x: Quandle, a: Quandle, cap: int | None = None):
+def hom_quandle(x: Quandle, a: Quandle):
     """The quandle on Hom(X, A) under (f*g)(t) = f(t)*g(t), for abelian A.
 
     Returns the quandle together with the image tuples labelling its elements
-    (element i of the result is the map labels[i]).
+    (element i of the result is the map labels[i]). The |Hom|^3 axiom checks
+    of that quandle are nodes of one Budget, charged before its table is built.
     """
     if not a.is_abelian():
         raise ValueError("target quandle is not abelian")
-    maps = homs(x, a, cap)
-    index = {f.image: i for i, f in enumerate(maps)}
+    images = [f.image for f in homs(x, a)]
+    Budget("homquandle", len(images) ** 3)
+    index = {image: i for i, image in enumerate(images)}
     ta = a.table
-    table = []
-    for f in maps:
-        row = []
-        for g in maps:
-            prod = tuple(ta[fv][gv] for fv, gv in zip(f.image, g.image))
-            row.append(index[prod])
-        table.append(row)
-    return Quandle(table), [f.image for f in maps]
+    table = [[index[tuple(ta[u][v] for u, v in zip(f, g))] for g in images] for f in images]
+    return Quandle(table), images
 
 
 def relabel_quandle(q: Quandle, order) -> Quandle:

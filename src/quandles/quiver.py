@@ -85,14 +85,14 @@ class Quiver:
         return len(self.vertices)
 
 
-def quiver(d: LinkDiagram, q: Quandle, s, cap: int | None = None) -> Quiver:
+def quiver(d: LinkDiagram, q: Quandle, s) -> Quiver:
     """The coloring quiver of d under the endomorphism set s."""
     for f in s:
         if not isinstance(f, QuandleMap) or f.source != q or f.target != q:
             raise ValueError("S must consist of endomorphisms of the coloring quandle")
         if not f.verify():
             raise ValueError(f"map {f.image} is not an endomorphism")
-    verts = colorings(d, q, cap)
+    verts = colorings(d, q)
     index = {v.colors: i for i, v in enumerate(verts)}
     edges = []
     movers = [f.image.__getitem__ for f in s]
@@ -199,13 +199,12 @@ def theta_weight(d: LinkDiagram, q: Quandle, phi: Cocycle2, coloring: Coloring) 
     return total
 
 
-def cocycle_invariant(d: LinkDiagram, q: Quandle, phi: Cocycle2,
-                      cap: int | None = None) -> GroupRingElement:
+def cocycle_invariant(d: LinkDiagram, q: Quandle, phi: Cocycle2) -> GroupRingElement:
     """Formal sum over colorings of t^(theta-weight)."""
     if not is_2cocycle(q, phi):
         raise ValueError("phi is not a 2-cocycle of the quandle")
     coeffs: dict = {}
-    for coloring in colorings(d, q, cap):
+    for coloring in colorings(d, q):
         e = theta_weight(d, q, phi, coloring)
         coeffs[e] = coeffs.get(e, 0) + 1
     return GroupRingElement(coeffs)

@@ -295,6 +295,44 @@ def test_group_table_answers_at_a_cap_of_its_cells(capsys, monkeypatch, argv, ce
     assert err == f"error: group search exceeded {cells - 1} nodes\n"
 
 
+@pytest.mark.parametrize("argv, what, cells, head", [
+    # c_2, c_3, c_4 = 12, 36, 108 non-degenerate tuples: delta_in and delta_out
+    (("cohomology", "R 4", "--degree", "3"), "cochain", 36 * (12 + 108),
+     "Z^2 (+) Z/2 (+) Z/2"),
+    # 7 homs, so 7^3 axiom checks of the Hom quandle; the hom search takes fewer
+    (("homquandle", "P 2 (1 2)", "P 2 (1 2)"), "homquandle", 7**3,
+     "Hom quandle of order 7"),
+], ids=["cohomology", "homquandle"])
+def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, cells, head):
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cells))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[0] == head
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cells - 1))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {what} search exceeded {cells - 1} nodes\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("cohomology", "R 40", "--degree", "3"), "cochain search exceeded 10000000 nodes"),
+    (("homquandle", "T 3", "T 10"), "homquandle search exceeded 10000000 nodes"),
+    (("cohomology", "R 3", "--coeff", "Z" + "9" * 400),
+     "primality search exceeded 10000000 nodes"),
+    (("cohomology", "R 3", "--coeff", f"Z{2**61 - 1}"),
+     "primality search exceeded 10000000 nodes"),
+    (("phi", HOPF, "P 2 (1 2)", "--theta", "100000"),
+     "cochain size does not match the quandle"),
+], ids=["cohomology-R40-degree3", "homquandle-T3-T10", "modulus-400-nines",
+        "modulus-2^61-1", "phi-theta-100000"])
+def test_oversized_builds_stop_at_once(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("option", ("--rho=--", "--degree=--", "--coeff=--"))
 def test_an_option_valued_double_dash_is_an_error(capsys, option):
     # argparse of 3.10 to 3.12.1 makes the value [], which main rejects itself;

@@ -74,10 +74,11 @@ def test_good_involutions_examples():
     assert len(good_involutions(trivial(2))) == 2
 
 
-def test_good_involutions_pair_only_inverse_columns():
+def test_good_involutions_pair_only_inverse_columns(monkeypatch):
     # every column of R11 is its own inverse and no two are equal, so only the
     # identity is built: one node of the involution budget, not 35,696
-    assert [s.rho for s in good_involutions(dihedral(11), cap=1)] == [tuple(range(11))]
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "1")
+    assert [s.rho for s in good_involutions(dihedral(11))] == [tuple(range(11))]
 
 
 def test_good_involutions_brute_force_cross_check():

@@ -140,11 +140,12 @@ def test_backtracking_matches_brute_force(name, q):
     assert colorings(d, q) == brute_force_colorings(d, q)
 
 
-def test_colorings_verify_and_cap():
+def test_colorings_verify_and_cap(monkeypatch):
     for c in colorings(TORUS, P3):
         assert c.verify(TORUS, P3)
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "2")
     with pytest.raises(SearchCapError):
-        colorings(TORUS, P3, cap=2)
+        colorings(TORUS, P3)
 
 
 def test_reidemeister_sanity_equal_counts():

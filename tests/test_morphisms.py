@@ -62,16 +62,19 @@ def test_every_returned_hom_revalidates():
         assert f.verify()
 
 
-def test_hom_search_cap():
+def test_hom_search_cap(monkeypatch):
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "5")
     with pytest.raises(SearchCapError):
-        homs(trivial(3), trivial(3), cap=5)
+        homs(trivial(3), trivial(3))
 
 
 def test_automorphism_group_table_obeys_the_given_cap(monkeypatch):
-    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "1000")  # below Aut(T5)'s 120^2 cells
-    assert automorphism_group(trivial(5), cap=120**2)[1].order == 120
+    # the cap is QUANDLE_SEARCH_CAP, for the hom search and the table alike
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(120**2))
+    assert automorphism_group(trivial(5))[1].order == 120
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(120**2 - 1))
     with pytest.raises(SearchCapError) as err:
-        automorphism_group(trivial(5), cap=120**2 - 1)
+        automorphism_group(trivial(5))
     assert (err.value.budget.what, err.value.budget.nodes) == ("group", 120**2)
 
 

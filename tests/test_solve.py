@@ -2,6 +2,9 @@
 property tests against the brute-force oracles, and node-count regressions
 read from the search Budget (machine-independent work counts)."""
 
+import importlib
+import inspect
+import pkgutil
 import re
 from itertools import product
 
@@ -9,14 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quandles
 from helpers import brute_force_colorings, brute_force_homs, p_coloring_tuple_predicate
 from quandles import (
+    Coeff,
     LinkingGraph,
     SearchCapError,
+    cohomology_Q,
     colorings,
     dihedral,
     good_involutions,
+    hom_quandle,
     homs,
+    inner_group,
     is_isomorphic,
     p_quandle,
     parse_cycles,
@@ -157,37 +165,73 @@ def test_twist_ladder_is_linear_in_crossings(coloring_budgets):
     assert nodes_50 == nodes_100 == _twist_nodes(7, coloring_budgets)[1] == 155
 
 
-def test_k6_over_r5_finishes_under_the_benchmark_cap(coloring_budgets):
-    found = colorings(synthesize_link(_all_ones(6)), dihedral(5), cap=10**6)
+def test_k6_over_r5_finishes_under_the_benchmark_cap(coloring_budgets, monkeypatch):
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(10**6))
+    found = colorings(synthesize_link(_all_ones(6)), dihedral(5))
     assert len(found) == 5  # the constant colorings
     assert coloring_budgets[-1].nodes == 19530
 
 
-def test_small_cap_still_stops_k3_over_r3(coloring_budgets):
+def test_small_cap_still_stops_k3_over_r3(coloring_budgets, monkeypatch):
     d = synthesize_link(_all_ones(3))
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "3")
     with pytest.raises(SearchCapError) as err:
-        colorings(d, dihedral(3), cap=3)
+        colorings(d, dihedral(3))
     assert err.value.budget.nodes == 4
+    monkeypatch.delenv("QUANDLE_SEARCH_CAP")
     assert len(colorings(d, dihedral(3))) == 3
     assert coloring_budgets[-1].nodes == 39
 
 
-def test_cap_messages_name_the_search():
+def test_cap_messages_name_the_search(monkeypatch):
     shape = re.compile(r"\w+ search exceeded \d+ nodes")
     cases = [
-        (lambda: colorings(synthesize_link(_all_ones(3)), dihedral(3), cap=3), "coloring"),
-        (lambda: homs(trivial(3), trivial(3), cap=5), "hom"),
-        (lambda: is_isomorphic(trivial(3), trivial(3), cap=0), "hom"),
-        (lambda: good_involutions(trivial(5), cap=7), "involution"),
+        (3, lambda: colorings(synthesize_link(_all_ones(3)), dihedral(3)), "coloring"),
+        (5, lambda: homs(trivial(3), trivial(3)), "hom"),
+        (0, lambda: is_isomorphic(trivial(3), trivial(3)), "hom"),
+        (7, lambda: good_involutions(trivial(5)), "involution"),
+        (0, lambda: inner_group(dihedral(3)), "group"),
+        (10, lambda: hom_quandle(trivial(1), trivial(3)), "homquandle"),
+        (0, lambda: cohomology_Q(dihedral(3), 2, "Z"), "cochain"),
+        (0, lambda: Coeff.parse("Z5"), "primality"),
     ]
-    for call, word in cases:
+    for cap, call, word in cases:
+        monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cap))
         with pytest.raises(SearchCapError) as err:
             call()
         assert shape.fullmatch(str(err.value)) and str(err.value).startswith(word + " ")
 
 
-def test_involution_budget_counts_each_involution():
+def test_no_public_callable_takes_a_cap():
+    # QUANDLE_SEARCH_CAP is the one limit on work; no call can set its own
+    found = []
+    for info in pkgutil.iter_modules(quandles.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"quandles.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not getattr(obj, "__module__", "").startswith("quandles"):
+                continue
+            found.append((name, obj))
+            if inspect.isclass(obj):
+                found += [(f"{name}.{attr}", getattr(obj, attr))
+                          for attr in vars(obj) if not attr.startswith("_")]
+    assert len(found) > 50
+    takes_cap = []
+    for name, obj in found:
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # not callable
+            continue
+        if "cap" in params:
+            takes_cap.append(name)
+    assert takes_cap == []
+
+
+def test_involution_budget_counts_each_involution(monkeypatch):
     # T5 has 26 involutions, all good; the cap is exactly enough
-    assert len(good_involutions(trivial(5), cap=26)) == 26
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "26")
+    assert len(good_involutions(trivial(5))) == 26
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "25")
     with pytest.raises(SearchCapError):
-        good_involutions(trivial(5), cap=25)
+        good_involutions(trivial(5))
