@@ -9,6 +9,7 @@ subcommand to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,93 +54,96 @@ def load_diagram(path: str) -> links.LinkDiagram:
     return _parse_file(path, links.parse_diagram)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        text = json.dumps(payload, sort_keys=True)
-    print(text, flush=True)  # so that a closed pipe raises inside main
+def _emit(args, payload, text) -> None:
+    """Print text(), or payload() as JSON under --json: only what is printed is built."""
+    out = json.dumps(payload(), sort_keys=True) if args.json else text()
+    print(out, flush=True)  # so that a closed pipe raises inside main
+
+
+def _listing(head: str, rows, k: int) -> str:
+    """head, then one line of k space-separated integers per row (a tuple)."""
+    line = " ".join(["%d"] * k)
+    return "\n".join([head, *(line % row for row in rows)])
 
 
 def _cmd_show(args) -> int:
     q = load_quandle(args.quandle)
-    _emit(args, {"order": q.m, "table": [list(r) for r in q.table]}, q.show())
+    _emit(args, lambda: {"order": q.m, "table": [list(r) for r in q.table]}, q.show)
     return 0
 
 
 def _cmd_verify(args) -> int:
     q = load_quandle(args.quandle)
-    _emit(args, {"ok": True, "order": q.m}, f"quandle: OK (order {q.m})")
+    _emit(args, lambda: {"ok": True, "order": q.m}, lambda: f"quandle: OK (order {q.m})")
     return 0
 
 
 def _cmd_iso(args) -> int:
     x, y = load_quandle(args.x), load_quandle(args.y)
     f = morphisms.is_isomorphic(x, y)
-    payload = {"isomorphic": f is not None,
-               "map": list(f.image) if f else None}
-    text = (f"isomorphic via {list(f.image)}" if f else "not isomorphic")
-    _emit(args, payload, text)
+    _emit(args, lambda: {"isomorphic": f is not None, "map": list(f.image) if f else None},
+          lambda: f"isomorphic via {list(f.image)}" if f else "not isomorphic")
     return 0
 
 
 def _cmd_aut(args) -> int:
     q = load_quandle(args.quandle)
     maps, group = morphisms.automorphism_group(q)
-    payload = {"order": group.order, "maps": [list(f.image) for f in maps]}
-    lines = [f"|Aut| = {group.order}"]
-    lines += [_format_image(f.image, 0) for f in maps]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, lambda: {"order": group.order, "maps": [list(f.image) for f in maps]},
+          lambda: "\n".join([f"|Aut| = {group.order}",
+                             *(_format_image(f.image, 0) for f in maps)]))
     return 0
 
 
 def _cmd_inn(args) -> int:
     q = load_quandle(args.quandle)
     group = morphisms.inner_group(q)
-    payload = {"order": group.order, "cyclic": group.is_cyclic(),
-               "element_orders": sorted(group.element_orders())}
-    _emit(args, payload,
-          f"|Inn| = {group.order}, cyclic: {'yes' if group.is_cyclic() else 'no'}")
+    _emit(args,
+          lambda: {"order": group.order, "cyclic": group.is_cyclic(),
+                   "element_orders": sorted(group.element_orders())},
+          lambda: f"|Inn| = {group.order}, cyclic: {'yes' if group.is_cyclic() else 'no'}")
     return 0
 
 
 def _cmd_homs(args) -> int:
     x, y = load_quandle(args.x), load_quandle(args.y)
     maps = morphisms.homs(x, y)
-    payload = {"count": len(maps), "maps": [list(f.image) for f in maps]}
-    lines = [f"{len(maps)} homomorphisms"]
-    lines += [" ".join(map(str, f.image)) for f in maps]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, lambda: {"count": len(maps), "maps": [list(f.image) for f in maps]},
+          lambda: _listing(f"{len(maps)} homomorphisms", (f.image for f in maps), x.m))
     return 0
 
 
 def _cmd_homquandle(args) -> int:
     x, a = load_quandle(args.x), load_quandle(args.a)
     hom_q, labels = morphisms.hom_quandle(x, a)
-    payload = {"order": hom_q.m, "table": [list(r) for r in hom_q.table],
-               "labels": [list(t) for t in labels]}
+
+    def payload():
+        return {"order": hom_q.m, "table": [list(r) for r in hom_q.table],
+                "labels": [list(t) for t in labels]}
+
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
-        _emit(args, payload, f"Hom quandle of order {hom_q.m} written to {args.out}")
+            fh.write(json.dumps(payload(), sort_keys=True) + "\n")
+        _emit(args, payload, lambda: f"Hom quandle of order {hom_q.m} written to {args.out}")
     else:
-        _emit(args, payload, f"Hom quandle of order {hom_q.m}\n{hom_q.show()}")
+        _emit(args, payload, lambda: f"Hom quandle of order {hom_q.m}\n{hom_q.show()}")
     return 0
 
 
 def _cmd_poly(args) -> int:
     q = load_quandle(args.quandle)
     poly = invariants.quandle_polynomial(q)
-    terms = sorted([s, t, c] for (s, t), c in poly.terms.items())
-    _emit(args, {"terms": terms}, str(poly))
+    _emit(args, lambda: {"terms": sorted([s, t, c] for (s, t), c in poly.terms.items())},
+          lambda: str(poly))
     return 0
 
 
 def _cmd_goodinv(args) -> int:
     q = load_quandle(args.quandle)
     found = invariants.good_involutions(q)
-    payload = {"count": len(found), "involutions": [list(s.rho) for s in found]}
-    lines = [f"{len(found)} good involutions"]
-    lines += [_format_image(s.rho, 0) for s in found]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, lambda: {"count": len(found), "involutions": [list(s.rho) for s in found]},
+          lambda: "\n".join([f"{len(found)} good involutions",
+                             *(_format_image(s.rho, 0) for s in found)]))
     return 0
 
 
@@ -151,9 +155,10 @@ def _cmd_cohomology(args) -> int:
         summary = coh.symmetric_cohomology(q, rho, args.degree, coeff)
     else:
         summary = coh.cohomology_Q(q, args.degree, coeff)
-    payload = {"group": str(summary), "rank": summary.rank,
-               "torsion": list(summary.torsion), "coeff": str(coeff)}
-    _emit(args, payload, str(summary))
+    _emit(args,
+          lambda: {"group": str(summary), "rank": summary.rank,
+                   "torsion": list(summary.torsion), "coeff": str(coeff)},
+          lambda: str(summary))
     return 0
 
 
@@ -161,34 +166,35 @@ def _cmd_color(args) -> int:
     d = load_diagram(args.diagram)
     q = load_quandle(args.quandle)
     found = links.colorings(d, q)
-    payload = {"count": len(found), "colorings": [list(c.colors) for c in found]}
-    lines = [f"{len(found)} colorings"]
-    lines += [" ".join(map(str, c.colors)) for c in found]
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, lambda: {"count": len(found), "colorings": [list(c.colors) for c in found]},
+          lambda: _listing(f"{len(found)} colorings", (c.colors for c in found), d.n_arcs))
     return 0
 
 
 def _cmd_lk(args) -> int:
     d = load_diagram(args.diagram)
     graph = links.linking_graph(d)
-    text = "\n".join(" ".join(map(str, row)) for row in graph.weights)
-    _emit(args, {"m": graph.m, "weights": [list(r) for r in graph.weights]}, text)
+    _emit(args, lambda: {"m": graph.m, "weights": [list(r) for r in graph.weights]},
+          lambda: "\n".join(" ".join(map(str, row)) for row in graph.weights))
     return 0
 
 
 def _cmd_synth(args) -> int:
     graph = _parse_file(args.graph, links.LinkingGraph.from_json)
     d = links.synthesize_link(graph)
-    payload = {"arcs": d.n_arcs, "crossings": len(d.crossings),
-               "components": d.n_components, "text": d.to_text()}
+
+    def payload():
+        return {"arcs": d.n_arcs, "crossings": len(d.crossings),
+                "components": d.n_components, "text": d.to_text()}
+
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(d.to_text())
         _emit(args, payload,
-              f"{d.n_components}-component diagram with "
-              f"{len(d.crossings)} crossings written to {args.out}")
+              lambda: f"{d.n_components}-component diagram with "
+                      f"{len(d.crossings)} crossings written to {args.out}")
     else:
-        _emit(args, payload, d.to_text().rstrip("\n"))
+        _emit(args, payload, lambda: d.to_text().rstrip("\n"))
     return 0
 
 
@@ -211,16 +217,15 @@ def _cmd_quiver(args) -> int:
     q = load_quandle(args.quandle)
     s = _load_endos(q, args.endos)
     qv = build_quiver(d, q, s)
-    dot = quiver_dot(qv)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-    payload = {"vertices": qv.n_vertices, "edges": len(qv.edges),
-               "labels": [list(l) for l in qv.labels],
-               "edge_list": [list(e) for e in qv.edges]}
-    _emit(args, payload,
-          f"quiver with {qv.n_vertices} vertices and {len(qv.edges)} edges"
-          + (f", DOT written to {args.dot}" if args.dot else ""))
+            fh.write(quiver_dot(qv))
+    _emit(args,
+          lambda: {"vertices": qv.n_vertices, "edges": len(qv.edges),
+                   "labels": [list(l) for l in qv.labels],
+                   "edge_list": [list(e) for e in qv.edges]},
+          lambda: f"quiver with {qv.n_vertices} vertices and {len(qv.edges)} edges"
+                  + (f", DOT written to {args.dot}" if args.dot else ""))
     return 0
 
 
@@ -231,9 +236,10 @@ def _cmd_phi(args) -> int:
         raise ValueError("cochain size does not match the quandle")
     theta = coh.theta_cocycle(args.theta)
     value = cocycle_invariant(d, q, theta)
-    payload = {"coeffs": {str(k): v for k, v in sorted(value.coeffs.items())},
-               "at_one": value.evaluate_at_one()}
-    _emit(args, payload, str(value))
+    _emit(args,
+          lambda: {"coeffs": {str(k): v for k, v in sorted(value.coeffs.items())},
+                   "at_one": value.evaluate_at_one()},
+          lambda: str(value))
     return 0
 
 
@@ -289,10 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -104,9 +104,9 @@ class SymmetricQuandle:
         object.__setattr__(self, "rho", rho)
         if sorted(rho) != list(range(q.m)):
             raise ValueError("rho is not a permutation of the elements")
-        for x in q.elements:
-            if rho[rho[x]] != x:
-                raise ValueError(f"rho is not an involution at {x}")
+        if tuple(map(rho.__getitem__, rho)) != tuple(q.elements):
+            x = next(x for x in q.elements if rho[rho[x]] != x)
+            raise ValueError(f"rho is not an involution at {x}")
         witness = _good_involution_defect(q, rho)
         if witness is not None:
             law, x, y = witness
@@ -114,13 +114,21 @@ class SymmetricQuandle:
 
 
 def _good_involution_defect(q: Quandle, rho):
-    """The first (law, x, y) in (x, y) order where a law fails, else None;
-    whole rows are compared first, cell by cell only to find the witness."""
-    t, bar, image = q.table, q.bar_table, rho.__getitem__
+    """The first (law, x, y) in (x, y) order where a law fails, else None.
+
+    Both laws are checked per column: x*rho(y) = bar(x, y) for all x says that
+    column rho(y) is the inverse of column y, and rho(x*y) = rho(x)*y for all x
+    says that rho commutes with column y, so each distinct column is checked
+    once. Only a failure scans the cells, to find the witness.
+    """
+    columns, col_id, inv_id = q._columns
+    image = rho.__getitem__
+    if list(map(col_id.__getitem__, rho)) == inv_id and all(
+            tuple(map(image, col)) == tuple(map(col.__getitem__, rho)) for col in columns):
+        return None
+    t, bar = q.table, q.bar_table
     for x in q.elements:
         row = t[x]
-        if tuple(map(image, row)) == t[rho[x]] and tuple(map(row.__getitem__, rho)) == bar[x]:
-            continue
         for y in q.elements:
             if rho[row[y]] != t[rho[x]][y]:
                 return ("rho(x*y) = rho(x)*y", x, y)
@@ -133,8 +141,7 @@ def _involutions(q: Quandle, budget: Budget):
     """The involutions of {0..m-1}, in lex order, that fix or pair y only with
     an element whose column is the inverse of y's column, as x*rho(y) =
     bar(x, y) requires. Each involution built spends one node of the budget."""
-    columns = [q.column_perm(y) for y in q.elements]
-    inverses = [tuple(row[y] for row in q.bar_table) for y in q.elements]
+    _, col_id, inv_id = q._columns
     out = []
 
     def build(remaining, image):
@@ -144,7 +151,7 @@ def _involutions(q: Quandle, budget: Budget):
             return
         x = remaining[0]
         for y in remaining:  # y = x first: the images come out in lex order
-            if columns[y] == inverses[x]:
+            if col_id[y] == inv_id[x]:
                 image[x], image[y] = y, x
                 build([z for z in remaining[1:] if z != y], image)
 

@@ -179,9 +179,11 @@ def hom_quandle(x: Quandle, a: Quandle):
     """The quandle on Hom(X, A) under (f*g)(t) = f(t)*g(t), for abelian A.
 
     Returns the quandle together with the image tuples labelling its elements
-    (element i of the result is the map labels[i]). The |Hom|^3 axiom checks
-    of that quandle are nodes of one Budget, charged before its table is built.
+    (element i of the result is the map labels[i]). The m^4 quadruples of the
+    medial-law check on A, and then the |Hom|^3 axiom checks of that quandle,
+    are nodes of a "homquandle" Budget, each charged before its work is done.
     """
+    Budget("homquandle", a.m ** 4)
     if not a.is_abelian():
         raise ValueError("target quandle is not abelian")
     images = [f.image for f in homs(x, a)]

@@ -49,6 +49,16 @@ class Quandle:
         """The unique z with z*y = x."""
         return self.bar_table[x][y]
 
+    @cached_property
+    def _columns(self) -> tuple:
+        """(the distinct columns as image tuples, the id of each element's column
+        in that list, the id of each element's inverse column or -1 when that
+        inverse is not a column)."""
+        ids = {}
+        col_id = [ids.setdefault(col, len(ids)) for col in zip(*self.table)]
+        inv_id = [ids.get(col, -1) for col in zip(*self.bar_table)]
+        return list(ids), col_id, inv_id
+
     def column_perm(self, y: int) -> tuple:
         """The bijection x -> x*y as an image tuple on {0..m-1}."""
         return tuple(self.table[x][y] for x in range(self.m))

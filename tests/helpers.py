@@ -51,6 +51,30 @@ def brute_force_colorings(d: LinkDiagram, q: Quandle):
     return found
 
 
+def cell_law_defect(q: Quandle, rho):
+    """The first cell (law, x, y), in (x, y) order, where rho(x*y) = rho(x)*y
+    or x*rho(y) = bar(x, y) fails, else None: both good-involution laws
+    checked cell by cell."""
+    t = q.table
+    for x in range(q.m):
+        for y in range(q.m):
+            if rho[t[x][y]] != t[rho[x]][y]:
+                return ("rho(x*y) = rho(x)*y", x, y)
+            if t[x][rho[y]] != q.bar(x, y):
+                return ("x*rho(y) = bar(x,y)", x, y)
+    return None
+
+
+def symmetric_quandle_error(q: Quandle, rho):
+    """The message SymmetricQuandle(q, rho) must raise for a permutation rho,
+    or None when rho is a good involution."""
+    bad = next((x for x in range(q.m) if rho[rho[x]] != x), None)
+    if bad is not None:
+        return f"rho is not an involution at {bad}"
+    defect = cell_law_defect(q, rho)
+    return None if defect is None else "{} fails at ({},{})".format(*defect)
+
+
 def associativity_witness(table):
     """The first (a, b, c) in lex order with (ab)c != a(bc), else None."""
     n = len(table)

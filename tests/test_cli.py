@@ -9,6 +9,7 @@ import pytest
 
 import quandles
 from helpers import FIXTURES
+from quandles import cli
 from quandles.cli import load_quandle, main
 from quandles.permutations import _format_image, _parse_image
 
@@ -316,13 +317,16 @@ def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, 
 @pytest.mark.parametrize("argv, message", [
     (("cohomology", "R 40", "--degree", "3"), "cochain search exceeded 10000000 nodes"),
     (("homquandle", "T 3", "T 10"), "homquandle search exceeded 10000000 nodes"),
+    # the medial-law check on A alone is 120^4 quadruples
+    (("homquandle", "T 1", "T 120"), "homquandle search exceeded 10000000 nodes"),
     (("cohomology", "R 3", "--coeff", "Z" + "9" * 400),
      "primality search exceeded 10000000 nodes"),
     (("cohomology", "R 3", "--coeff", f"Z{2**61 - 1}"),
      "primality search exceeded 10000000 nodes"),
     (("phi", HOPF, "P 2 (1 2)", "--theta", "100000"),
      "cochain size does not match the quandle"),
-], ids=["cohomology-R40-degree3", "homquandle-T3-T10", "modulus-400-nines",
+], ids=["cohomology-R40-degree3", "homquandle-T3-T10", "homquandle-T1-T120",
+        "modulus-400-nines",
         "modulus-2^61-1", "phi-theta-100000"])
 def test_oversized_builds_stop_at_once(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
@@ -340,3 +344,42 @@ def test_an_option_valued_double_dash_is_an_error(capsys, option):
     code, out, err = run(capsys, "cohomology", "R 4", option)
     assert code in (1, 2) and out == ""
     assert "error: " in err.splitlines()[-1]
+
+
+GOLDEN = json.loads((FIXTURES / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_listing_output_is_byte_identical_to_the_golden_file(capsys, case):
+    # stdout of homs, color, goodinv, aut and quiver, in text and --json mode,
+    # as an earlier version of the CLI printed it
+    argv = [str(FIXTURES / a[1:-1]) if a.startswith("{") else a for a in case["argv"]]
+    assert run(capsys, *argv) == (0, case["stdout"], "")
+
+
+def test_quiver_builds_dot_only_for_a_dot_file(capsys, monkeypatch):
+    # test_quiver_and_phi checks the file that --dot writes
+    def refuse(qv):
+        raise AssertionError("quiver_dot called without --dot")
+
+    monkeypatch.setattr(cli, "quiver_dot", refuse)
+    for extra in ((), ("--json",)):
+        code, out, _ = run(capsys, "quiver", HOPF, "P 2 (1 2)", *extra)
+        assert code == 0 and out.startswith(("quiver with 5 vertices", '{"edge_list"'))
+
+
+def test_one_process_answers_as_fresh_processes_do(capsys, monkeypatch):
+    # main reuses one parser: after a usage error and a domain error in this
+    # process, every call still prints what a fresh `python -m quandles` does
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    src = str(Path(quandles.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    calls = [("frobnicate",), ("verify", "Z 3"), ("goodinv", "T 3"),
+             ("homs", "P 2 (1 2)", "P 2 (1 2)", "--json")]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [2, 1, 0, 0]
+    for argv, result in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "quandles", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert result == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -1,5 +1,8 @@
+from itertools import permutations
+
 import pytest
 
+from helpers import cell_law_defect, symmetric_quandle_error
 from quandles import (
     SymmetricQuandle,
     TwoVarPolynomial,
@@ -173,3 +176,25 @@ def test_good_involutions_check_each_involution_once(monkeypatch):
     found = good_involutions(q)
     assert [s.rho for s in found] == [(0, 1, 2, 3), (0, 2, 1, 3)]
     assert calls == built and len(built) == 4
+
+
+def test_column_law_check_matches_the_cell_scan():
+    # every permutation, involution or not, of T1-T5, R3-R6 and each P(n, sigma)
+    # class for n <= 4: the per-column check finds the same first defect as a
+    # scan of all m^2 cells, and SymmetricQuandle raises exactly when the
+    # oracle finds a defect, with the same message
+    qs = [trivial(m) for m in range(1, 6)] + [dihedral(m) for m in range(3, 7)]
+    qs += [p_quandle(n, sigma) for n in range(1, 5)
+           for sigma in conjugacy_class_representatives(n)]
+    for q in qs:
+        good = set()
+        for rho in permutations(range(q.m)):
+            assert invariants._good_involution_defect(q, rho) == cell_law_defect(q, rho)
+            try:
+                SymmetricQuandle(q, rho)
+                message = None
+                good.add(rho)
+            except ValueError as exc:
+                message = str(exc)
+            assert message == symmetric_quandle_error(q, rho), (q.table, rho)
+        assert good == {s.rho for s in good_involutions(q)}
