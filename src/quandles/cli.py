@@ -60,10 +60,38 @@ def _emit(args, payload, text) -> None:
     print(out, flush=True)  # so that a closed pipe raises inside main
 
 
-def _listing(head: str, rows, k: int) -> str:
-    """head, then one line of k space-separated integers per row (a tuple)."""
-    line = " ".join(["%d"] * k)
-    return "\n".join([head, *(line % row for row in rows)])
+_CHUNK = 4096  # lines of a listing joined into one string at a time
+_cycle_line = functools.partial(_format_image, first=0)
+
+
+def _numbers_line(k: int):
+    """A line of k space-separated integers from a tuple of them."""
+    return " ".join(["%d"] * k).__mod__
+
+
+def _listing(args, line):
+    """(emit, finish) for a listing of answers, each a tuple, in the order found.
+
+    finish(head, keys) prints {keys[0]: count, keys[1]: the answers} under
+    --json, else head % count and then line(answer) for each answer. The text
+    lines are joined _CHUNK at a time, so a long listing holds a few long
+    strings and no object per answer. Nothing is printed before finish, so a
+    search stopped part-way leaves stdout empty.
+    """
+    rows, chunks = [], []
+
+    def emit(answer):
+        rows.append(answer)
+        if len(rows) == _CHUNK:
+            chunks.append("\n".join(map(line, rows)))
+            rows.clear()
+
+    def finish(head: str, keys) -> None:
+        count = len(chunks) * _CHUNK + len(rows)
+        _emit(args, lambda: dict(zip(keys, (count, rows))),
+              lambda: "\n".join([head % count, *chunks, *map(line, rows)]))
+
+    return (rows.append if args.json else emit), finish
 
 
 def _cmd_show(args) -> int:
@@ -88,10 +116,12 @@ def _cmd_iso(args) -> int:
 
 def _cmd_aut(args) -> int:
     q = load_quandle(args.quandle)
-    maps, group = morphisms.automorphism_group(q)
-    _emit(args, lambda: {"order": group.order, "maps": [list(f.image) for f in maps]},
-          lambda: "\n".join([f"|Aut| = {group.order}",
-                             *(_format_image(f.image, 0) for f in maps)]))
+    images = morphisms._search(q, q, bijective=True)
+    morphisms._group_table(images)  # checks that the maps form a group
+    emit, finish = _listing(args, _cycle_line)
+    for image in images:
+        emit(image)
+    finish("|Aut| = %d", ("order", "maps"))
     return 0
 
 
@@ -107,9 +137,9 @@ def _cmd_inn(args) -> int:
 
 def _cmd_homs(args) -> int:
     x, y = load_quandle(args.x), load_quandle(args.y)
-    maps = morphisms.homs(x, y)
-    _emit(args, lambda: {"count": len(maps), "maps": [list(f.image) for f in maps]},
-          lambda: _listing(f"{len(maps)} homomorphisms", (f.image for f in maps), x.m))
+    emit, finish = _listing(args, _numbers_line(x.m))
+    morphisms._search(x, y, emit=emit)
+    finish("%d homomorphisms", ("count", "maps"))
     return 0
 
 
@@ -140,10 +170,10 @@ def _cmd_poly(args) -> int:
 
 def _cmd_goodinv(args) -> int:
     q = load_quandle(args.quandle)
-    found = invariants.good_involutions(q)
-    _emit(args, lambda: {"count": len(found), "involutions": [list(s.rho) for s in found]},
-          lambda: "\n".join([f"{len(found)} good involutions",
-                             *(_format_image(s.rho, 0) for s in found)]))
+    emit, finish = _listing(args, _cycle_line)
+    for rho in invariants._good_involutions(q):
+        emit(rho)
+    finish("%d good involutions", ("count", "involutions"))
     return 0
 
 
@@ -165,9 +195,10 @@ def _cmd_cohomology(args) -> int:
 def _cmd_color(args) -> int:
     d = load_diagram(args.diagram)
     q = load_quandle(args.quandle)
-    found = links.colorings(d, q)
-    _emit(args, lambda: {"count": len(found), "colorings": [list(c.colors) for c in found]},
-          lambda: _listing(f"{len(found)} colorings", (c.colors for c in found), d.n_arcs))
+    emit, finish = _listing(args, _numbers_line(d.n_arcs))
+    for c in links.colorings(d, q):
+        emit(c.colors)
+    finish("%d colorings", ("count", "colorings"))
     return 0
 
 

@@ -159,10 +159,18 @@ def _involutions(q: Quandle, budget: Budget):
     return out
 
 
+def _good_involutions(q: Quandle):
+    """The good involutions of q as image tuples, in lex order: the
+    involutions that pair only mutually inverse columns, filtered by both
+    laws; an "involution" Budget counts the involutions built."""
+    return (rho for rho in _involutions(q, Budget("involution"))
+            if _good_involution_defect(q, rho) is None)
+
+
 def good_involutions(q: Quandle):
     """All good involutions of q: the involutions that pair only mutually
-    inverse columns, filtered by both laws (the SymmetricQuandle check); an
-    "involution" Budget counts the involutions built."""
+    inverse columns, each checked once as a SymmetricQuandle; an "involution"
+    Budget counts the involutions built."""
     found = []
     for rho in _involutions(q, Budget("involution")):
         try:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .limits import Budget
+from .permutations import _cycles
 from .quandle import Quandle
 from .solve import greedy_order, solve
 
@@ -86,23 +87,12 @@ class LinkDiagram:
 
     @cached_property
     def components(self) -> tuple:
-        """Arc cycles under the under_in -> under_out successor, plus free loops,
-        sorted by least arc."""
-        succ = {c.under_in: c.under_out for c in self.crossings}
-        comps = [(a,) for a in self.free_loops]
-        seen = set()
-        for start in sorted(succ):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = succ[start]
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = succ[nxt]
-            comps.append(tuple(cyc))
-        return tuple(sorted(comps, key=min))
+        """Arc cycles under the under_in -> under_out successor, each from its
+        least arc, free loops as cycles of one arc, sorted by least arc."""
+        succ = list(range(self.n_arcs))
+        for c in self.crossings:
+            succ[c.under_in] = c.under_out
+        return tuple(map(tuple, _cycles(succ, 0)))
 
     @cached_property
     def component_of(self) -> tuple:

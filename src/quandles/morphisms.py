@@ -111,20 +111,21 @@ class FiniteGroupTable:
                    for a in range(self.order) for b in range(self.order))
 
 
-def _search(x: Quandle, y: Quandle, bijective: bool = False, limit: int | None = None):
-    """Homs X -> Y in lex order of image tuples, through one solver constraint
-    f(a*b) = f(a)*f(b) per pair a != b, branching on f(0), f(1), ..."""
+def _search(x: Quandle, y: Quandle, bijective: bool = False, limit: int | None = None,
+            emit=None) -> list:
+    """Image tuples of the homs X -> Y in lex order, through one solver
+    constraint f(a*b) = f(a)*f(b) per pair a != b, branching on f(0), f(1), ...
+    Each is handed to ``emit`` when one is given (see solve)."""
     sx, ty, by = x.table, y.table, y.bar_table
     constraints = [(a, b, sx[a][b], ty, by)
                    for a in range(x.m) for b in range(x.m) if a != b]
-    found = solve(x.m, y.m, constraints, Budget("hom"), distinct=bijective,
-                  limit=limit)
-    return [QuandleMap(x, y, image) for image in found]
+    return solve(x.m, y.m, constraints, Budget("hom"), distinct=bijective,
+                 limit=limit, emit=emit)
 
 
 def homs(x: Quandle, y: Quandle):
     """All quandle homomorphisms X -> Y, sorted by image tuple."""
-    return _search(x, y)
+    return [QuandleMap(x, y, image) for image in _search(x, y)]
 
 
 def endomorphisms(q: Quandle):
@@ -136,7 +137,7 @@ def is_isomorphic(x: Quandle, y: Quandle) -> QuandleMap | None:
     if x.m != y.m:
         return None
     found = _search(x, y, bijective=True, limit=1)
-    return found[0] if found else None
+    return QuandleMap(x, y, found[0]) if found else None
 
 
 def _group_table(images):
@@ -154,24 +155,20 @@ def _group_table(images):
 
 def automorphism_group(q: Quandle):
     """All bijective endomorphisms with their composition table."""
-    maps = _search(q, q, bijective=True)
-    return maps, _group_table([f.image for f in maps])
+    images = _search(q, q, bijective=True)
+    return [QuandleMap(q, q, image) for image in images], _group_table(images)
 
 
 def inner_group(q: Quandle) -> FiniteGroupTable:
     """Closure of the column bijections S_y under composition."""
     gens = {q.column_perm(y) for y in q.elements}
-    elems = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = tuple(map(a.__getitem__, b))
-                if c not in elems:
-                    elems.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    elems, pending = set(gens), list(gens)
+    while pending:
+        a = pending.pop()
+        for c in (tuple(map(a.__getitem__, b)) for b in gens):
+            if c not in elems:
+                elems.add(c)
+                pending.append(c)
     return _group_table(sorted(elems))
 
 
@@ -186,7 +183,7 @@ def hom_quandle(x: Quandle, a: Quandle):
     Budget("homquandle", a.m ** 4)
     if not a.is_abelian():
         raise ValueError("target quandle is not abelian")
-    images = [f.image for f in homs(x, a)]
+    images = _search(x, a)
     Budget("homquandle", len(images) ** 3)
     index = {image: i for i, image in enumerate(images)}
     ta = a.table

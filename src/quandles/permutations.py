@@ -31,6 +31,13 @@ class Permutation:
         self.image = image
 
     @classmethod
+    def _trusted(cls, image: tuple) -> "Permutation":
+        """The Permutation of a tuple already known to permute 1..n, unchecked."""
+        perm = cls.__new__(cls)
+        perm.n, perm.image = len(image), image
+        return perm
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
@@ -88,13 +95,14 @@ class Permutation:
         return perm
 
 
-def _cycles(image, first: int):
-    """The cycles of the map i + first -> image[i], fixed points included: each
-    walked from its least point, listed in order of least point."""
+def _cycles(image, first: int, fixed: bool = True):
+    """The cycles of the map i + first -> image[i], fixed points included
+    unless ``fixed`` is false: each walked from its least point, listed in
+    order of least point."""
     seen = set()  # points walked to; a cycle's least point is never walked to
     cycles = []
     for start, p in enumerate(image, first):
-        if start not in seen:
+        if (fixed or p != start) and start not in seen:
             cycle = [start]
             while p != start:
                 seen.add(p)
@@ -129,7 +137,7 @@ def _format_image(image, first: int) -> str:
     """Cycle notation of an image tuple on first..; fixed points omitted, the
     identity as "()"."""
     return "".join("(" + " ".join(map(str, c)) + ")"
-                   for c in _cycles(image, first) if len(c) > 1) or "()"
+                   for c in _cycles(image, first, fixed=False)) or "()"
 
 
 def parse_cycles(text: str, n: int) -> Permutation:
@@ -146,14 +154,14 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     """The permutation x -> a(b(x))."""
     if a.n != b.n:
         raise ValueError(f"degree mismatch: {a.n} != {b.n}")
-    return Permutation(a.image[v - 1] for v in b.image)
+    return Permutation._trusted(tuple([a.image[v - 1] for v in b.image]))
 
 
 def inverse(a: Permutation) -> Permutation:
     image = [0] * a.n
     for i, v in enumerate(a.image):
         image[v - 1] = i + 1
-    return Permutation(image)
+    return Permutation._trusted(tuple(image))
 
 
 def order(a: Permutation) -> int:
@@ -200,7 +208,7 @@ def conjugator(a: Permutation, b: Permutation) -> Permutation | None:
 
 def all_permutations(n: int):
     """All of S_n in lexicographic image order."""
-    return [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
+    return [Permutation._trusted(img) for img in itertools.permutations(range(1, n + 1))]
 
 
 def centralizer(a: Permutation, bound: int = CENTRALIZER_BOUND):
@@ -222,7 +230,7 @@ def conjugacy_class_representatives(n: int):
             for x, y in zip(pts, pts[1:] + pts[:1]):
                 image[x - 1] = y
             start += length
-        reps.append(Permutation(image))
+        reps.append(Permutation._trusted(tuple(image)))
     return reps
 
 

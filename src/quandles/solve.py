@@ -31,11 +31,14 @@ def _watch_lists(n_vars: int, constraints):
 
 
 def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
-          distinct: bool = False, limit: int | None = None) -> list:
+          distinct: bool = False, limit: int | None = None, emit=None) -> list:
     """Assignments (tuples of values) satisfying every constraint, in search order.
 
     ``order`` lists every variable (default range(n_vars)). ``distinct``
-    requires all values to differ; ``limit`` stops after that many solutions.
+    requires all values to differ. Each solution is handed to ``emit`` as it
+    is found; by default it is appended to the returned list, which stays
+    empty when ``emit`` is given. ``limit`` stops the search once that many
+    solutions have been emitted.
     """
     order = list(range(n_vars)) if order is None else list(order)
     watch = _watch_lists(n_vars, constraints)
@@ -67,11 +70,14 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
         return True
 
     out = []
+    emit = out.append if emit is None else emit
     spend, depth = budget.spend, len(order)
+    found = 0
 
     def extend(pos: int, val=val, used=used, trail=trail, order=order) -> bool:
         """Branch on order[pos], which is unassigned; True once ``limit``
         solutions are found."""
+        nonlocal found
         v, mark = order[pos], len(trail)
         for a in range(n):
             if distinct and used[a]:
@@ -87,8 +93,9 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
                     if extend(nxt):
                         return True
                 else:
-                    out.append(tuple(val))
-                    if len(out) == limit:
+                    emit(tuple(val))
+                    found += 1
+                    if found == limit:
                         return True
             if len(trail) > mark:
                 for w in trail[mark:]:
@@ -100,8 +107,9 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
         return False
 
     if not order:
-        return [()]
-    extend(0)
+        emit(())
+    else:
+        extend(0)
     return out
 
 

@@ -159,3 +159,19 @@ def two_kernel_symmetric_cohomology_z(q: Quandle, rho, n: int):
     gens = [[vec[k] for vec in meet] for k in range(z)]
     factors = linalg.smith_normal_form(gens) if meet else []
     return z - len(factors), tuple(d for d in factors if d > 1)
+
+
+def cycle_text(image):
+    """0-based cycle notation of an image tuple, fixed points omitted and the
+    identity as "()", by a walk of its own."""
+    parts, seen = [], set()
+    for start, p in enumerate(image):
+        if p == start or start in seen:
+            continue
+        cycle = [start]
+        while p != start:
+            seen.add(p)
+            cycle.append(p)
+            p = image[p]
+        parts.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(parts) or "()"

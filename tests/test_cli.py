@@ -8,8 +8,17 @@ from pathlib import Path
 import pytest
 
 import quandles
-from helpers import FIXTURES
-from quandles import cli
+from helpers import FIXTURES, cycle_text
+from quandles import (
+    SearchCapError,
+    automorphism_group,
+    cli,
+    conjugacy_class_representatives,
+    format_cycles,
+    good_involutions,
+    homs,
+    morphisms,
+)
 from quandles.cli import load_quandle, main
 from quandles.permutations import _format_image, _parse_image
 
@@ -383,3 +392,55 @@ def test_one_process_answers_as_fresh_processes_do(capsys, monkeypatch):
         proc = subprocess.run([sys.executable, "-m", "quandles", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert result == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+@pytest.mark.parametrize("argv, cap", ((("homs", "P 6 (1 2)", "P 6 (1 2)"), 1000),
+                                       (("aut", "R 15"), 200)))
+@pytest.mark.parametrize("extra", ((), ("--json",)))
+def test_a_search_stopped_part_way_prints_nothing(capsys, monkeypatch, argv, cap, extra):
+    # each search has found maps when the cap stops it; none of them is printed
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cap))
+    q = load_quandle(argv[1])
+    found = []
+    with pytest.raises(SearchCapError):
+        morphisms._search(q, q, bijective=argv[0] == "aut", emit=found.append)
+    assert found
+    assert run(capsys, *argv, *extra) == (1, "", f"error: hom search exceeded {cap} nodes\n")
+
+
+ORACLE_QUANDLES = ([f"T {m}" for m in range(1, 6)] + [f"R {m}" for m in range(3, 8)]
+                   + [f"P {n} {format_cycles(s)}" for n in range(1, 5)
+                      for s in conjugacy_class_representatives(n)])
+
+
+@pytest.mark.parametrize("source", ORACLE_QUANDLES)
+def test_listings_print_what_the_public_functions_return(capsys, source):
+    # the CLI formats the solver's image tuples itself; its lines must be the
+    # ones rendered from homs(), automorphism_group() and good_involutions()
+    q = load_quandle(source)
+    maps = [f.image for f in homs(q, q)]
+    auts, group = automorphism_group(q)
+    auts = [f.image for f in auts]
+    rhos = [s.rho for s in good_involutions(q)]
+    cases = {
+        ("homs", source, source): (
+            [f"{len(maps)} homomorphisms", *(" ".join(map(str, f)) for f in maps)],
+            {"count": len(maps), "maps": [list(f) for f in maps]}),
+        ("aut", source): ([f"|Aut| = {group.order}", *map(cycle_text, auts)],
+                          {"order": group.order, "maps": [list(f) for f in auts]}),
+        ("goodinv", source): ([f"{len(rhos)} good involutions", *map(cycle_text, rhos)],
+                              {"count": len(rhos), "involutions": [list(r) for r in rhos]}),
+    }
+    for argv, (lines, payload) in cases.items():
+        assert run(capsys, *argv) == (0, "\n".join(lines) + "\n", ""), argv
+        assert run(capsys, *argv, "--json") == (
+            0, json.dumps(payload, sort_keys=True) + "\n", ""), argv
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 26, 27, 28))
+def test_listing_text_does_not_depend_on_the_chunk_size(capsys, monkeypatch, chunk):
+    # the 27 homs T3 -> T3: lines joined one, two, ... at a time print the same
+    expected = run(capsys, "homs", "T 3", "T 3")
+    assert expected[1].startswith("27 homomorphisms\n0 0 0\n")
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    assert run(capsys, "homs", "T 3", "T 3") == expected

@@ -1,5 +1,8 @@
+import inspect
+
 import pytest
 
+import quandles
 from helpers import conjugation_quandle, symmetric_group_elements
 from quandles import (
     AxiomError,
@@ -147,3 +150,12 @@ def test_column_zero_restricts_to_sigma():
             assert all(col0[x] == sigma(x) for x in range(1, n + 1))
             for y in range(1, n + 1):
                 assert q.column_perm(y) == tuple(range(n + 1))
+
+
+def test_all_lists_public_objects_and_no_module():
+    assert len(set(quandles.__all__)) == len(quandles.__all__)
+    for name in quandles.__all__:
+        assert not inspect.ismodule(getattr(quandles, name)), name
+    namespace = {}
+    exec("from quandles import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(quandles.__all__)

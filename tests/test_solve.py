@@ -32,6 +32,7 @@ from quandles import (
     synthesize_link,
     trivial,
 )
+from quandles import morphisms
 from quandles.limits import Budget
 from quandles.solve import greedy_order, solve
 
@@ -121,6 +122,22 @@ def test_solver_options():
     backward = solve(3, 3, con, budget, order=[2, 1, 0])
     assert sorted(backward) == every and budget.nodes == 3 + 9
     assert solve(0, 3, [], Budget("test")) == [()]
+
+
+@pytest.mark.parametrize("limit", (None, 1, 2, 8, 9, 10, 100))
+def test_emit_takes_each_solution_up_to_the_limit(limit):
+    # the 9 solutions of z = T[x][y] over R3, and the 36 homs of P(3, (1 2))
+    r3 = dihedral(3)
+    con = [(0, 1, 2, r3.table, r3.bar_table)]
+    every = solve(3, 3, con, Budget("test"))
+    emitted = []
+    assert solve(3, 3, con, Budget("test"), limit=limit, emit=emitted.append) == []
+    assert emitted == every[:limit]
+    q = p_quandle(3, parse_cycles("(1 2)", 3))
+    total = len(homs(q, q))
+    calls = []
+    morphisms._search(q, q, limit=limit, emit=calls.append)
+    assert len(calls) == (total if limit is None else min(limit, total))
 
 
 def test_greedy_order_branches_on_determining_arcs():
