@@ -116,11 +116,10 @@ def _cmd_iso(args) -> int:
 
 def _cmd_aut(args) -> int:
     q = load_quandle(args.quandle)
-    images = morphisms._search(q, q, bijective=True)
-    morphisms._group_table(images)  # checks that the maps form a group
+    maps, _ = morphisms.automorphism_group(q)  # its table checks the group law
     emit, finish = _listing(args, _cycle_line)
-    for image in images:
-        emit(image)
+    for f in maps:
+        emit(f.image)
     finish("|Aut| = %d", ("order", "maps"))
     return 0
 

@@ -31,13 +31,6 @@ class Permutation:
         self.image = image
 
     @classmethod
-    def _trusted(cls, image: tuple) -> "Permutation":
-        """The Permutation of a tuple already known to permute 1..n, unchecked."""
-        perm = cls.__new__(cls)
-        perm.n, perm.image = len(image), image
-        return perm
-
-    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
 
@@ -154,14 +147,14 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     """The permutation x -> a(b(x))."""
     if a.n != b.n:
         raise ValueError(f"degree mismatch: {a.n} != {b.n}")
-    return Permutation._trusted(tuple([a.image[v - 1] for v in b.image]))
+    return Permutation(a.image[v - 1] for v in b.image)
 
 
 def inverse(a: Permutation) -> Permutation:
     image = [0] * a.n
     for i, v in enumerate(a.image):
         image[v - 1] = i + 1
-    return Permutation._trusted(tuple(image))
+    return Permutation(image)
 
 
 def order(a: Permutation) -> int:
@@ -208,7 +201,7 @@ def conjugator(a: Permutation, b: Permutation) -> Permutation | None:
 
 def all_permutations(n: int):
     """All of S_n in lexicographic image order."""
-    return [Permutation._trusted(img) for img in itertools.permutations(range(1, n + 1))]
+    return [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
 
 
 def centralizer(a: Permutation, bound: int = CENTRALIZER_BOUND):
@@ -230,7 +223,7 @@ def conjugacy_class_representatives(n: int):
             for x, y in zip(pts, pts[1:] + pts[:1]):
                 image[x - 1] = y
             start += length
-        reps.append(Permutation._trusted(tuple(image)))
+        reps.append(Permutation(image))
     return reps
 
 

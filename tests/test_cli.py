@@ -415,7 +415,7 @@ ORACLE_QUANDLES = ([f"T {m}" for m in range(1, 6)] + [f"R {m}" for m in range(3,
 
 @pytest.mark.parametrize("source", ORACLE_QUANDLES)
 def test_listings_print_what_the_public_functions_return(capsys, source):
-    # the CLI formats the solver's image tuples itself; its lines must be the
+    # the CLI formats the image tuples itself; its lines must be the
     # ones rendered from homs(), automorphism_group() and good_involutions()
     q = load_quandle(source)
     maps = [f.image for f in homs(q, q)]

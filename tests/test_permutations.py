@@ -204,21 +204,3 @@ def test_from_json_rejects_malformed_input(text):
 def test_constructor_rejects_non_integer_points(image):
     with pytest.raises(ValueError):
         Permutation(image)
-
-
-def test_unchecked_results_equal_the_checked_constructor():
-    # compose, inverse, all_permutations and conjugacy_class_representatives
-    # build Permutations without the constructor's check, on all of S_1..S_5
-    def same(p):
-        assert type(p) is Permutation and vars(p) == vars(Permutation(p.image))
-
-    for n in range(1, 6):
-        group = all_permutations(n)
-        assert [p.image for p in group] == list(iter_perms(range(1, n + 1)))
-        for a in group:
-            same(a)
-            same(inverse(a))
-            for b in group:
-                same(compose(a, b))
-        for rep in conjugacy_class_representatives(n):
-            same(rep)
