@@ -84,8 +84,10 @@ class AbelianGroupSummary:
 
 def tuple_basis(q: Quandle, n: int):
     """Non-degenerate n-tuples (no adjacent repeat) in lexicographic order."""
-    tuples = itertools.product(q.elements, repeat=n) if n >= 1 else ()
-    return [t for t in tuples if all(t[i] != t[i + 1] for i in range(n - 1))]
+    basis = [(x,) for x in q.elements] if n >= 1 else []
+    for _ in range(n - 1):
+        basis = [t + (x,) for t in basis for x in q.elements if x != t[-1]]
+    return basis
 
 
 def _check_degree(n: int, lo: int, hi: int) -> None:
@@ -116,14 +118,14 @@ def boundary_matrix(q: Quandle, n: int):
 def _coboundary_rows(q: Quandle, basis, lower):
     """One dense row per tuple t of basis: the boundary of t (module docstring)
     on the lower basis, where the degenerate faces are absent and so vanish."""
-    index = {t: i for i, t in enumerate(lower)}
+    index, cols = {t: i for i, t in enumerate(lower)}, tuple(zip(*q.table))
     rows = []
     for t in basis:
         row = [0] * len(lower)
-        for i in range(1, len(t) + 1):
-            sign = -1 if i % 2 else 1
-            acted = tuple(q.op(x, t[i - 1]) for x in t[: i - 1]) + t[i:]
-            for face, coeff in ((t[: i - 1] + t[i:], sign), (acted, -sign)):
+        for i, y in enumerate(t):  # face i + 1, whose sign is (-1)^(i+1)
+            head, tail, sign = t[:i], t[i + 1:], i % 2 * 2 - 1
+            acted = tuple(map(cols[y].__getitem__, head)) + tail
+            for face, coeff in ((head + tail, sign), (acted, -sign)):
                 if face in index:
                     row[index[face]] += coeff
         rows.append(row)
@@ -136,18 +138,18 @@ def _relation_rows(q: Quandle, rho, n: int, basis):
     Each row is the indicator of a sum T + T'; coefficients are kept as-is
     (a relation 2*f(T) = 0 must stay 2, it is vacuous mod 2).
     """
-    index = {t: i for i, t in enumerate(basis)}
-    rows = set()
+    index, cols = {t: i for i, t in enumerate(basis)}, tuple(zip(*q.table))
+    relations = set()  # each as the sorted positions of its terms in the basis
     for t in itertools.product(q.elements, repeat=n):
-        for i in range(1, n + 1):
-            other = tuple(q.op(x, t[i - 1]) for x in t[: i - 1]) + (rho[t[i - 1]],) + t[i:]
-            row = [0] * len(basis)
-            for tup in (t, other):
-                pos = index.get(tup)
-                if pos is not None:
-                    row[pos] += 1
-            if any(row):
-                rows.add(tuple(row))
+        for i, y in enumerate(t):
+            other = tuple(map(cols[y].__getitem__, t[:i])) + (rho[y],) + t[i + 1:]
+            relations.add(tuple(sorted(index[s] for s in (t, other) if s in index)))
+    rows = []
+    for positions in relations - {()}:
+        row = [0] * len(basis)
+        for pos in positions:
+            row[pos] += 1
+        rows.append(tuple(row))
     return tuple(sorted(rows))
 
 

@@ -1,35 +1,36 @@
 """Exact integer linear algebra for the sparse boundary matrices of cohomology.
 
-Matrices are lists of row lists of Python ints (arbitrary precision). One
-sparse pass, `_eliminate`, takes +-1 pivots on rows, shortest row first
-(Dumas, Saunders & Villard, J. Symb. Comput. 2001); quandle boundaries have
-entries in {0, +-1, +-2} and almost every pivot is a unit. One dense
-`_echelon` with least-absolute-value pivots reduces the small core that is
-left. `smith_normal_form` counts a factor 1 per pivot and diagonalises the
-core; the rank over Q (nonzero factors) and over GF(p) (factors not divisible
-by p) are read from the factors. `integer_kernel_basis` takes the kernel of
-the core and back-substitutes it through the pivot rows.
+Matrices are lists or tuples of rows, each a list or tuple of Python ints;
+zeros are skipped outside Python. One sparse pass, `_eliminate`, takes +-1
+pivots on rows, shortest row first (Dumas, Saunders & Villard, J. Symb.
+Comput. 2001); quandle boundaries have entries in {0, +-1, +-2} and almost
+every pivot is a unit. One dense `_echelon` with least-absolute-value pivots
+reduces the small core that is left. `smith_normal_form` counts a factor 1 per
+pivot and diagonalises the core; the rank over Q (nonzero factors) and over
+GF(p) (factors not divisible by p) are read from the factors.
+`integer_kernel_basis` takes the kernel of the core and back-substitutes it
+through the pivot rows.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import compress, count
 from math import gcd
 
 
 def mat_mul(a, b):
-    """The dense product a*b; zero entries of a and b cost nothing."""
+    """The dense product a*b of list or tuple rows; zeros are skipped in C."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
     width = len(b[0]) if b else 0
-    sparse_b = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    sparse_b = [list(zip(compress(count(), row), filter(None, row))) for row in b]
     out = []
     for row in a:
         acc = [0] * width
-        for x, b_row in zip(row, sparse_b):
-            if x:
-                for j, v in b_row:
-                    acc[j] += x * v
+        for x, b_row in zip(filter(None, row), compress(sparse_b, row)):
+            for j, v in b_row:
+                acc[j] += x * v
         out.append(acc)
     return out
 
@@ -113,7 +114,7 @@ def _eliminate(a):
     """
     rows, holders = {}, {}  # holders: column -> the rows with a nonzero entry there
     for i, row in enumerate(a):
-        r = {j: v for j, v in enumerate(row) if v}
+        r = dict(zip(compress(count(), row), filter(None, row)))
         if r:
             rows[i] = r
             for j in r:

@@ -175,3 +175,43 @@ def cycle_text(image):
             p = image[p]
         parts.append("(" + " ".join(map(str, cycle)) + ")")
     return "".join(parts) or "()"
+
+
+def product_tuple_basis(q: Quandle, n: int):
+    """Non-degenerate n-tuples, by filtering every n-tuple in lexicographic order."""
+    tuples = product(q.elements, repeat=n) if n >= 1 else ()
+    return [t for t in tuples if all(t[i] != t[i + 1] for i in range(n - 1))]
+
+
+def face_loop_coboundary_rows(q: Quandle, basis, lower):
+    """One dense row per tuple of basis, each face built by calling q.op."""
+    index = {t: i for i, t in enumerate(lower)}
+    rows = []
+    for t in basis:
+        row = [0] * len(lower)
+        for i in range(1, len(t) + 1):
+            sign = -1 if i % 2 else 1
+            acted = tuple(q.op(x, t[i - 1]) for x in t[: i - 1]) + t[i:]
+            for face, coeff in ((t[: i - 1] + t[i:], sign), (acted, -sign)):
+                if face in index:
+                    row[index[face]] += coeff
+        rows.append(row)
+    return tuple(rows)
+
+
+def dense_relation_rows(q: Quandle, rho, n: int, basis):
+    """The involution relation rows, one dense candidate row per n-tuple and
+    position, kept when nonzero and sorted once duplicates go."""
+    index = {t: i for i, t in enumerate(basis)}
+    rows = set()
+    for t in product(q.elements, repeat=n):
+        for i in range(1, n + 1):
+            other = tuple(q.op(x, t[i - 1]) for x in t[: i - 1]) + (rho[t[i - 1]],) + t[i:]
+            row = [0] * len(basis)
+            for tup in (t, other):
+                pos = index.get(tup)
+                if pos is not None:
+                    row[pos] += 1
+            if any(row):
+                rows.add(tuple(row))
+    return tuple(sorted(rows))

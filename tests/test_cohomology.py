@@ -3,7 +3,12 @@ from itertools import product
 
 import pytest
 
-from helpers import two_kernel_symmetric_cohomology_z
+from helpers import (
+    dense_relation_rows,
+    face_loop_coboundary_rows,
+    product_tuple_basis,
+    two_kernel_symmetric_cohomology_z,
+)
 from quandles import (
     Cocycle2,
     Coeff,
@@ -264,12 +269,53 @@ def test_symmetric_relations_rows_respected_by_kernel():
     assert killed == 2 ** (c_n - linalg.rank(stacked, 2))
 
 
+def _flipped(matrix, r, c):
+    """A copy of matrix with 1 added to entry (r, c)."""
+    rows = [list(row) for row in matrix]
+    rows[r][c] += 1
+    return tuple(rows)
+
+
 def test_slice_with_nonzero_composite_is_rejected():
     sl = cochain_slice(P3, 2)
     i = next(i for i, row in enumerate(sl.delta_in) if any(row))
-    bad_row = tuple(v + (k == i) for k, v in enumerate(sl.delta_out[0]))
     with pytest.raises(AssertionError):
-        replace(sl, delta_out=(bad_row,) + sl.delta_out[1:])
+        replace(sl, delta_out=_flipped(sl.delta_out, 0, i))
+    # defects in the last row and column catch a row scan that stops short
+    for n in (2, 3):
+        sl = cochain_slice(dihedral(3), n)
+        last_in, last_out = len(sl.basis) - 1, len(sl.basis_above) - 1
+        assert any(sl.delta_in[last_in])  # so the corner flip adds a nonzero row
+        i = next(i for i, row in enumerate(sl.delta_in) if any(row))
+        k = next(k for k in range(len(sl.basis)) if any(row[k] for row in sl.delta_out))
+        for bad in ({"delta_out": _flipped(sl.delta_out, last_out, last_in)},
+                    {"delta_out": _flipped(sl.delta_out, last_out, i)},
+                    {"delta_in": _flipped(sl.delta_in, k, len(sl.basis_below) - 1)}):
+            with pytest.raises(AssertionError):
+                replace(sl, **bad)
+
+
+SLICE_ORACLE_QUANDLES = {
+    **{f"T{m}": trivial(m) for m in (1, 2, 3, 4, 5)},
+    **{f"R{m}": dihedral(m) for m in (3, 4, 5, 6, 7)},
+    **{f"P{n} {format_cycles(sigma)}": p_quandle(n, sigma)
+       for n in (1, 2, 3, 4) for sigma in conjugacy_class_representatives(n)},
+}
+
+
+@pytest.mark.parametrize("name", SLICE_ORACLE_QUANDLES)
+def test_slice_matches_the_product_filter_and_face_loop(name):
+    q = SLICE_ORACLE_QUANDLES[name]
+    for n in range(5):
+        assert tuple_basis(q, n) == product_tuple_basis(q, n)
+    for rho in [None] + [sym.rho for sym in good_involutions(q)]:
+        for n in (2, 3):
+            sl = cochain_slice(q, n, rho)
+            below, basis, above = (tuple(product_tuple_basis(q, k)) for k in (n - 1, n, n + 1))
+            assert (sl.basis_below, sl.basis, sl.basis_above) == (below, basis, above)
+            assert sl.delta_in == face_loop_coboundary_rows(q, basis, below)
+            assert sl.delta_out == face_loop_coboundary_rows(q, above, basis)
+            assert sl.relations == (None if rho is None else dense_relation_rows(q, rho, n, basis))
 
 
 def test_coeff_parsing():

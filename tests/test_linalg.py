@@ -6,7 +6,7 @@ from sympy import GF, QQ, ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
-from quandles import cochain_slice, dihedral, p_quandle, parse_cycles
+from quandles import cochain_slice, dihedral, p_quandle, parse_cycles, trivial
 from quandles.linalg import (
     in_column_span,
     integer_kernel_basis,
@@ -111,7 +111,8 @@ def test_smith_normal_form_and_rank_match_sympy(pool):
 
 
 @pytest.mark.parametrize("q", [dihedral(4), dihedral(5),
-                               p_quandle(4, parse_cycles("(1 2 3 4)", 4))])
+                               p_quandle(4, parse_cycles("(1 2 3 4)", 4)), trivial(4),
+                               p_quandle(4, parse_cycles("(1 2)(3 4)", 4))])
 def test_coboundaries_match_sympy(q):
     sl = cochain_slice(q, 3)
     for delta in (sl.delta_in, sl.delta_out):
@@ -121,6 +122,29 @@ def test_coboundaries_match_sympy(q):
             assert rank(d, p) == sympy_rank(d, p)
     if q == dihedral(5):
         assert [f for f in smith_normal_form([list(r) for r in sl.delta_out]) if f > 1] == [5]
+
+
+# all-zero rows, a zero matrix and entries outside {0, +-1, +-2}
+SHAPE_CASES = (
+    [[0, 0, 0], [3, 0, -5], [0, 0, 0], [6, 9, 0]],
+    [[0, 0], [0, 0], [0, 0]],
+    [[0, 1, 0, -7], [0, 0, 0, 0], [1, 0, 12, 0], [0, -1, 0, 7]],
+    [[4, 0, 0, 0, 0, 10]],
+)
+
+
+@pytest.mark.parametrize("a", SHAPE_CASES)
+def test_tuple_rows_give_the_answers_of_list_rows(a):
+    as_tuples = tuple(map(tuple, a))
+    assert smith_normal_form(as_tuples) == smith_normal_form(a) == sympy_factors(a)
+    for p in (None, 2, 3):
+        assert rank(as_tuples, p) == rank(a, p) == sympy_rank(a, p)
+    cols = len(a[0])
+    assert integer_kernel_basis(as_tuples, cols) == integer_kernel_basis(a, cols)
+    assert_saturated_kernel(a, cols)
+    b = transpose(a)
+    expected = (Matrix(a) * Matrix(b)).tolist()
+    assert mat_mul(as_tuples, tuple(map(tuple, b))) == mat_mul(a, b) == expected
 
 
 def test_integer_kernel_basis_is_saturated():
