@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from itertools import islice
 
 from . import cohomology as coh
 from . import invariants, links, morphisms
@@ -60,7 +61,7 @@ def _emit(args, payload, text) -> None:
     print(out, flush=True)  # so that a closed pipe raises inside main
 
 
-_CHUNK = 4096  # lines of a listing joined into one string at a time
+_CHUNK = 4096  # answers of a listing read and made one string at a time
 _cycle_line = functools.partial(_format_image, first=0)
 
 
@@ -69,29 +70,26 @@ def _numbers_line(k: int):
     return " ".join(["%d"] * k).__mod__
 
 
-def _listing(args, line):
-    """(emit, finish) for a listing of answers, each a tuple, in the order found.
+def _listing(args, answers, line, head: str, keys) -> None:
+    """Print the answers, each a tuple, that the iterator yields, in its order.
 
-    finish(head, keys) prints {keys[0]: count, keys[1]: the answers} under
-    --json, else head % count and then line(answer) for each answer. The text
-    lines are joined _CHUNK at a time, so a long listing holds a few long
-    strings and no object per answer. Nothing is printed before finish, so a
-    search stopped part-way leaves stdout empty.
+    Under --json this is {keys[0]: count, keys[1]: the answers}, else head %
+    count and then line(answer) for each answer. The answers are read _CHUNK
+    at a time and each slice is made one string of lines or of JSON lists, so
+    a long listing holds a few long strings and no object per answer. Nothing
+    is printed before the iterator is drained, so a search stopped part-way
+    leaves stdout empty.
     """
-    rows, chunks = [], []
-
-    def emit(answer):
-        rows.append(answer)
-        if len(rows) == _CHUNK:
-            chunks.append("\n".join(map(line, rows)))
-            rows.clear()
-
-    def finish(head: str, keys) -> None:
-        count = len(chunks) * _CHUNK + len(rows)
-        _emit(args, lambda: dict(zip(keys, (count, rows))),
-              lambda: "\n".join([head % count, *chunks, *map(line, rows)]))
-
-    return (rows.append if args.json else emit), finish
+    chunks, count = [], 0
+    while rows := list(islice(answers, _CHUNK)):
+        count += len(rows)
+        chunks.append(json.dumps(rows)[1:-1] if args.json else "\n".join(map(line, rows)))
+    if args.json:  # the answers are spliced into the envelope's empty list
+        before, after = json.dumps(dict(zip(keys, (count, []))), sort_keys=True).split("[]")
+        print(before + "[", end="")
+        print(*chunks, sep=", ", end="]" + after + "\n", flush=True)
+    else:  # print writes each chunk in turn, so the listing is never one string
+        print(head % count, *chunks, sep="\n", flush=True)
 
 
 def _cmd_show(args) -> int:
@@ -117,10 +115,7 @@ def _cmd_iso(args) -> int:
 def _cmd_aut(args) -> int:
     q = load_quandle(args.quandle)
     maps, _ = morphisms.automorphism_group(q)  # its table checks the group law
-    emit, finish = _listing(args, _cycle_line)
-    for f in maps:
-        emit(f.image)
-    finish("|Aut| = %d", ("order", "maps"))
+    _listing(args, (f.image for f in maps), _cycle_line, "|Aut| = %d", ("order", "maps"))
     return 0
 
 
@@ -136,9 +131,8 @@ def _cmd_inn(args) -> int:
 
 def _cmd_homs(args) -> int:
     x, y = load_quandle(args.x), load_quandle(args.y)
-    emit, finish = _listing(args, _numbers_line(x.m))
-    morphisms._search(x, y, emit=emit)
-    finish("%d homomorphisms", ("count", "maps"))
+    _listing(args, morphisms._search(x, y), _numbers_line(x.m), "%d homomorphisms",
+             ("count", "maps"))
     return 0
 
 
@@ -169,10 +163,8 @@ def _cmd_poly(args) -> int:
 
 def _cmd_goodinv(args) -> int:
     q = load_quandle(args.quandle)
-    emit, finish = _listing(args, _cycle_line)
-    for rho in invariants._good_involutions(q):
-        emit(rho)
-    finish("%d good involutions", ("count", "involutions"))
+    _listing(args, invariants._good_involutions(q), _cycle_line, "%d good involutions",
+             ("count", "involutions"))
     return 0
 
 
@@ -194,10 +186,8 @@ def _cmd_cohomology(args) -> int:
 def _cmd_color(args) -> int:
     d = load_diagram(args.diagram)
     q = load_quandle(args.quandle)
-    emit, finish = _listing(args, _numbers_line(d.n_arcs))
-    for c in links.colorings(d, q):
-        emit(c.colors)
-    finish("%d colorings", ("count", "colorings"))
+    _listing(args, (c.colors for c in links.colorings(d, q)), _numbers_line(d.n_arcs),
+             "%d colorings", ("count", "colorings"))
     return 0
 
 

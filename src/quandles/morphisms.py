@@ -111,16 +111,14 @@ class FiniteGroupTable:
                    for a in range(self.order) for b in range(self.order))
 
 
-def _search(x: Quandle, y: Quandle, bijective: bool = False, limit: int | None = None,
-            emit=None) -> list:
-    """Image tuples of the homs X -> Y in lex order, through one solver
-    constraint f(a*b) = f(a)*f(b) per pair a != b, branching on f(0), f(1), ...
-    Each is handed to ``emit`` when one is given (see solve)."""
+def _search(x: Quandle, y: Quandle, bijective: bool = False):
+    """An iterator over the image tuples of the homs X -> Y in lex order, through
+    one solver constraint f(a*b) = f(a)*f(b) per pair a != b, branching on
+    f(0), f(1), ...; the search advances only as the iterator is read."""
     sx, ty, by = x.table, y.table, y.bar_table
     constraints = [(a, b, sx[a][b], ty, by)
                    for a in range(x.m) for b in range(x.m) if a != b]
-    return solve(x.m, y.m, constraints, Budget("hom"), distinct=bijective,
-                 limit=limit, emit=emit)
+    return solve(x.m, y.m, constraints, Budget("hom"), distinct=bijective)
 
 
 def homs(x: Quandle, y: Quandle):
@@ -136,8 +134,8 @@ def is_isomorphic(x: Quandle, y: Quandle) -> QuandleMap | None:
     """The lexicographically first bijective homomorphism X -> Y, else None."""
     if x.m != y.m:
         return None
-    found = _search(x, y, bijective=True, limit=1)
-    return QuandleMap(x, y, found[0]) if found else None
+    found = next(_search(x, y, bijective=True), None)
+    return None if found is None else QuandleMap(x, y, found)
 
 
 def _group_table(images):
@@ -155,7 +153,7 @@ def _group_table(images):
 
 def automorphism_group(q: Quandle):
     """All bijective endomorphisms with their composition table."""
-    images = _search(q, q, bijective=True)
+    images = list(_search(q, q, bijective=True))
     return [QuandleMap(q, q, image) for image in images], _group_table(images)
 
 
@@ -176,14 +174,15 @@ def hom_quandle(x: Quandle, a: Quandle):
     """The quandle on Hom(X, A) under (f*g)(t) = f(t)*g(t), for abelian A.
 
     Returns the quandle together with the image tuples labelling its elements
-    (element i of the result is the map labels[i]). The m^4 quadruples of the
-    medial-law check on A, and then the |Hom|^3 axiom checks of that quandle,
-    are nodes of a "homquandle" Budget, each charged before its work is done.
+    (element i of the result is the map labels[i]). The k^2 * m steps of the
+    medial-law check on A (k distinct columns, see Quandle.is_abelian), and
+    then the |Hom|^3 axiom checks of that quandle, are nodes of a "homquandle"
+    Budget, each charged before its work is done.
     """
-    Budget("homquandle", a.m ** 4)
+    Budget("homquandle", len(a._columns[0]) ** 2 * a.m)
     if not a.is_abelian():
         raise ValueError("target quandle is not abelian")
-    images = _search(x, a)
+    images = list(_search(x, a))
     Budget("homquandle", len(images) ** 3)
     index = {image: i for i, image in enumerate(images)}
     ta = a.table

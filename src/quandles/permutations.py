@@ -176,24 +176,16 @@ def is_conjugate(a: Permutation, b: Permutation) -> bool:
 def conjugator(a: Permutation, b: Permutation) -> Permutation | None:
     """Some h with a = h^-1 b h, or None if the cycle types differ.
 
-    Cycles of equal length are aligned in least-element order, which makes the
-    witness deterministic.
+    The cycles of a and of b are paired in order of length; the sort is
+    stable, so cycles of equal length pair in least-element order, which
+    makes the witness deterministic.
     """
     if not is_conjugate(a, b):
         return None
-
-    def cycles_in_order(p):
-        by_len = {}
-        for cyc in _cycles(p.image, 1):
-            by_len.setdefault(len(cyc), []).append(cyc)
-        return by_len
-
-    ca, cb = cycles_in_order(a), cycles_in_order(b)
     image = [0] * a.n
-    for length, acycles in ca.items():
-        for acyc, bcyc in zip(acycles, cb[length]):
-            for x, y in zip(acyc, bcyc):
-                image[x - 1] = y
+    for acyc, bcyc in zip(*(sorted(_cycles(p.image, 1), key=len) for p in (a, b))):
+        for x, y in zip(acyc, bcyc):
+            image[x - 1] = y
     h = Permutation(image)
     assert compose(compose(inverse(h), b), h) == a
     return h

@@ -68,18 +68,15 @@ class Quandle:
         return range(self.m)
 
     def is_abelian(self) -> bool:
-        """Medial law (x*y)*(z*w) = (x*z)*(y*w), checked over all quadruples."""
-        t = self.table
-        rng = range(self.m)
-        for x in rng:
-            for y in rng:
-                xy = t[x][y]
-                for z in rng:
-                    xz = t[x][z]
-                    for w in rng:
-                        if t[xy][t[z][w]] != t[xz][t[y][w]]:
-                            return False
-        return True
+        """Medial law (x*y)*(z*w) = (x*z)*(y*w). A quandle is medial iff its
+        displacement group is abelian (Hulpke, Stanovsky & Vojtechovsky, JPAA
+        2016), and the maps S_c S_0^-1, one per distinct column c, generate
+        that group; so they are checked to commute pairwise, in k^2 * m steps
+        for k distinct columns."""
+        inv0 = next(zip(*self.bar_table), ())  # S_0^-1; empty at order 0
+        gens = [tuple(map(col.__getitem__, inv0)) for col in self._columns[0]]
+        return all(tuple(map(f.__getitem__, g)) == tuple(map(g.__getitem__, f))
+                   for f in gens for g in gens)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Quandle) and self.table == other.table

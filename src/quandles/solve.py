@@ -31,14 +31,13 @@ def _watch_lists(n_vars: int, constraints):
 
 
 def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
-          distinct: bool = False, limit: int | None = None, emit=None) -> list:
-    """Assignments (tuples of values) satisfying every constraint, in search order.
+          distinct: bool = False):
+    """An iterator over the assignments (tuples of values) satisfying every
+    constraint, in search order.
 
     ``order`` lists every variable (default range(n_vars)). ``distinct``
-    requires all values to differ. Each solution is handed to ``emit`` as it
-    is found; by default it is appended to the returned list, which stays
-    empty when ``emit`` is given. ``limit`` stops the search once that many
-    solutions have been emitted.
+    requires all values to differ. The search runs as the iterator is read,
+    so a reader that stops early spends only the nodes before its last answer.
     """
     order = list(range(n_vars)) if order is None else list(order)
     watch = _watch_lists(n_vars, constraints)
@@ -69,15 +68,10 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
                 pending.append(target)
         return True
 
-    out = []
-    emit = out.append if emit is None else emit
     spend, depth = budget.spend, len(order)
-    found = 0
 
-    def extend(pos: int, val=val, used=used, trail=trail, order=order) -> bool:
-        """Branch on order[pos], which is unassigned; True once ``limit``
-        solutions are found."""
-        nonlocal found
+    def extend(pos: int, val=val, used=used, trail=trail, order=order):
+        """Yield each solution below the branch on order[pos], which is unassigned."""
         v, mark = order[pos], len(trail)
         for a in range(n):
             if distinct and used[a]:
@@ -90,13 +84,9 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
                 while nxt < depth and val[order[nxt]] >= 0:
                     nxt += 1
                 if nxt < depth:
-                    if extend(nxt):
-                        return True
+                    yield from extend(nxt)
                 else:
-                    emit(tuple(val))
-                    found += 1
-                    if found == limit:
-                        return True
+                    yield tuple(val)
             if len(trail) > mark:
                 for w in trail[mark:]:
                     used[val[w]] = False
@@ -104,13 +94,8 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
                 del trail[mark:]
             used[a] = False
         val[v] = -1
-        return False
 
-    if not order:
-        emit(())
-    else:
-        extend(0)
-    return out
+    return extend(0) if order else iter([()])
 
 
 def greedy_order(n_vars: int, constraints) -> list:

@@ -3,7 +3,15 @@
 from itertools import permutations, product
 from pathlib import Path
 
-from quandles import Coloring, LinkDiagram, Quandle, cochain_slice, linalg, parse_diagram
+from quandles import (
+    AxiomError,
+    Coloring,
+    LinkDiagram,
+    Quandle,
+    cochain_slice,
+    linalg,
+    parse_diagram,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,6 +41,27 @@ def brute_force_homs(x: Quandle, y: Quandle):
 def brute_force_automorphisms(q: Quandle):
     return [img for img in map(tuple, permutations(range(q.m)))
             if img in set(brute_force_homs(q, q))]
+
+
+def medial_law_holds(q: Quandle) -> bool:
+    """(x*y)*(z*w) = (x*z)*(y*w), checked over all m^4 quadruples."""
+    t = q.table
+    rng = range(q.m)
+    return all(t[t[x][y]][t[z][w]] == t[t[x][z]][t[y][w]]
+               for x in rng for y in rng for z in rng for w in rng)
+
+
+def labelled_quandles(m: int):
+    """Every quandle table on {0..m-1}: each column a permutation fixing its
+    own index, kept when the constructor accepts the table."""
+    found = []
+    for cols in product(*([p for p in permutations(range(m)) if p[y] == y]
+                          for y in range(m))):
+        try:
+            found.append(Quandle(list(zip(*cols))))
+        except AxiomError:
+            pass
+    return found
 
 
 def brute_force_colorings(d: LinkDiagram, q: Quandle):

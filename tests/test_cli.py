@@ -326,16 +326,13 @@ def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, 
 @pytest.mark.parametrize("argv, message", [
     (("cohomology", "R 40", "--degree", "3"), "cochain search exceeded 10000000 nodes"),
     (("homquandle", "T 3", "T 10"), "homquandle search exceeded 10000000 nodes"),
-    # the medial-law check on A alone is 120^4 quadruples
-    (("homquandle", "T 1", "T 120"), "homquandle search exceeded 10000000 nodes"),
     (("cohomology", "R 3", "--coeff", "Z" + "9" * 400),
      "primality search exceeded 10000000 nodes"),
     (("cohomology", "R 3", "--coeff", f"Z{2**61 - 1}"),
      "primality search exceeded 10000000 nodes"),
     (("phi", HOPF, "P 2 (1 2)", "--theta", "100000"),
      "cochain size does not match the quandle"),
-], ids=["cohomology-R40-degree3", "homquandle-T3-T10", "homquandle-T1-T120",
-        "modulus-400-nines",
+], ids=["cohomology-R40-degree3", "homquandle-T3-T10", "modulus-400-nines",
         "modulus-2^61-1", "phi-theta-100000"])
 def test_oversized_builds_stop_at_once(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
@@ -344,6 +341,16 @@ def test_oversized_builds_stop_at_once(capsys, monkeypatch, argv, message):
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_homquandle_of_a_large_trivial_target_answers_at_once(capsys, monkeypatch):
+    # the medial-law check on A costs k^2 * m steps for its k distinct
+    # columns, and T120 has one; the Hom quandle's 120^3 checks fit the cap
+    monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homquandle", "T 1", "T 120")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "") and out.splitlines()[0] == "Hom quandle of order 120"
 
 
 @pytest.mark.parametrize("option", ("--rho=--", "--degree=--", "--coeff=--"))
@@ -403,7 +410,8 @@ def test_a_search_stopped_part_way_prints_nothing(capsys, monkeypatch, argv, cap
     q = load_quandle(argv[1])
     found = []
     with pytest.raises(SearchCapError):
-        morphisms._search(q, q, bijective=argv[0] == "aut", emit=found.append)
+        for image in morphisms._search(q, q, bijective=argv[0] == "aut"):
+            found.append(image)
     assert found
     assert run(capsys, *argv, *extra) == (1, "", f"error: hom search exceeded {cap} nodes\n")
 
@@ -439,8 +447,21 @@ def test_listings_print_what_the_public_functions_return(capsys, source):
 
 @pytest.mark.parametrize("chunk", (1, 2, 26, 27, 28))
 def test_listing_text_does_not_depend_on_the_chunk_size(capsys, monkeypatch, chunk):
-    # the 27 homs T3 -> T3: lines joined one, two, ... at a time print the same
+    # the 27 homs T3 -> T3: answers read one, two, ... at a time print the
+    # same, as text and as --json
     expected = run(capsys, "homs", "T 3", "T 3")
     assert expected[1].startswith("27 homomorphisms\n0 0 0\n")
+    expected_json = run(capsys, "homs", "T 3", "T 3", "--json")
+    assert expected_json[1].startswith('{"count": 27, "maps": [[0, 0, 0], [0, 0, 1], ')
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     assert run(capsys, "homs", "T 3", "T 3") == expected
+    assert run(capsys, "homs", "T 3", "T 3", "--json") == expected_json
+
+
+def test_the_first_answer_never_pays_for_the_rest(capsys, monkeypatch):
+    # iso reads one map off the hom search of R15; aut reads them all
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "30")
+    assert run(capsys, "iso", "R 15", "R 15") == (
+        0, f"isomorphic via {list(range(15))}\n", "")
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "200")
+    assert run(capsys, "aut", "R 15") == (1, "", "error: hom search exceeded 200 nodes\n")

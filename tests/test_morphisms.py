@@ -20,6 +20,7 @@ from quandles import (
     conjugacy_class_representatives,
     dihedral,
     endomorphisms,
+    from_table,
     hom_quandle,
     homs,
     inner_group,
@@ -110,6 +111,13 @@ def test_isomorphism_examples():
     assert is_isomorphic(a, p_quandle(3, parse_cycles("(1 2 3)", 3))) is None
     assert is_isomorphic(trivial(3), dihedral(3)) is None
     assert is_isomorphic(trivial(3), trivial(4)) is None
+
+
+def test_the_empty_quandle_is_isomorphic_to_itself_by_the_empty_map():
+    # its only map is (), which is falsy: found is told apart from None
+    empty = from_table([])
+    f = is_isomorphic(empty, empty)
+    assert f is not None and f.image == () and f.verify()
 
 
 def test_isomorphism_matches_conjugacy_up_to_s3():

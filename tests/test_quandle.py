@@ -1,11 +1,18 @@
 import inspect
+import math
 
 import pytest
 
 import quandles
-from helpers import conjugation_quandle, symmetric_group_elements
+from helpers import (
+    conjugation_quandle,
+    labelled_quandles,
+    medial_law_holds,
+    symmetric_group_elements,
+)
 from quandles import (
     AxiomError,
+    Permutation,
     Quandle,
     all_permutations,
     dihedral,
@@ -111,6 +118,37 @@ def test_is_abelian():
     assert trivial(5).is_abelian()
     s3 = conjugation_quandle(symmetric_group_elements(3))
     assert not s3.is_abelian()
+
+
+def _alexander(n: int, t: int) -> Quandle:
+    """x*y = t*x + (1 - t)*y on Z_n, for a unit t."""
+    return Quandle([[(t * x + (1 - t) * y) % n for y in range(n)] for x in range(n)])
+
+
+def _conjugacy_classes(n: int):
+    """The conjugacy classes of S_n on {0..n-1}, as sorted image tuples, by cycle type."""
+    classes = {}
+    for g in symmetric_group_elements(n):
+        classes.setdefault(Permutation([v + 1 for v in g]).cycle_type, []).append(g)
+    return list(classes.values())
+
+
+def test_is_abelian_matches_the_medial_law_on_every_quadruple():
+    # the displacement-group test against the m^4 scan: all labelled quandles
+    # of order <= 4 (4 of the 43 are not medial), R1-R12, every P(n, sigma)
+    # with n <= 5, the Alexander quandles on Z_n with n <= 12, and the
+    # conjugation quandles of S3 and of each class of S4
+    small = [q for m in range(1, 5) for q in labelled_quandles(m)]
+    assert len(small) == 43 and sum(not medial_law_holds(q) for q in small) == 4
+    quandles_ = [*small, *map(dihedral, range(1, 13)),
+                 *(p_quandle(n, s) for n in range(1, 6) for s in all_permutations(n)),
+                 *(_alexander(n, t) for n in range(1, 13) for t in range(n)
+                   if math.gcd(n, t) == 1),
+                 conjugation_quandle(symmetric_group_elements(3)),
+                 *map(conjugation_quandle, _conjugacy_classes(4))]
+    for q in quandles_:
+        assert q.is_abelian() == medial_law_holds(q), q.table
+    assert from_table([]).is_abelian()
 
 
 def test_p_quandles_are_abelian_exhaustively():

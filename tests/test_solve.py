@@ -6,7 +6,7 @@ import importlib
 import inspect
 import pkgutil
 import re
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -112,32 +112,41 @@ def test_solver_options():
     # z = T[x][y] over the dihedral quandle R3, variables (x, y, z)
     r3 = dihedral(3)
     con = [(0, 1, 2, r3.table, r3.bar_table)]
-    every = solve(3, 3, con, Budget("test"))
+    every = list(solve(3, 3, con, Budget("test")))
     assert every == sorted((x, y, r3.op(x, y)) for x in range(3) for y in range(3))
-    assert solve(3, 3, con, Budget("test"), limit=1) == every[:1]
-    assert solve(3, 3, con, Budget("test"), distinct=True) == [
+    assert list(islice(solve(3, 3, con, Budget("test")), 1)) == every[:1]
+    assert list(solve(3, 3, con, Budget("test"), distinct=True)) == [
         s for s in every if len(set(s)) == 3]
     # branching on z and y first reaches x through the inverse columns
     budget = Budget("test")
-    backward = solve(3, 3, con, budget, order=[2, 1, 0])
+    backward = list(solve(3, 3, con, budget, order=[2, 1, 0]))
     assert sorted(backward) == every and budget.nodes == 3 + 9
-    assert solve(0, 3, [], Budget("test")) == [()]
+    assert list(solve(0, 3, [], Budget("test"))) == [()]
 
 
 @pytest.mark.parametrize("limit", (None, 1, 2, 8, 9, 10, 100))
 def test_emit_takes_each_solution_up_to_the_limit(limit):
-    # the 9 solutions of z = T[x][y] over R3, and the 36 homs of P(3, (1 2))
+    # the 9 solutions of z = T[x][y] over R3, and the 36 homs of P(3, (1 2)):
+    # the first `limit` of them read off the iterator are its first in order
     r3 = dihedral(3)
     con = [(0, 1, 2, r3.table, r3.bar_table)]
-    every = solve(3, 3, con, Budget("test"))
-    emitted = []
-    assert solve(3, 3, con, Budget("test"), limit=limit, emit=emitted.append) == []
-    assert emitted == every[:limit]
+    every = list(solve(3, 3, con, Budget("test")))
+    assert list(islice(solve(3, 3, con, Budget("test")), limit)) == every[:limit]
     q = p_quandle(3, parse_cycles("(1 2)", 3))
     total = len(homs(q, q))
-    calls = []
-    morphisms._search(q, q, limit=limit, emit=calls.append)
-    assert len(calls) == (total if limit is None else min(limit, total))
+    taken = list(islice(morphisms._search(q, q), limit))
+    assert len(taken) == (total if limit is None else min(limit, total))
+
+
+def test_the_first_solution_spends_fewer_nodes_than_all():
+    # the search runs only as the iterator is read
+    r3 = dihedral(3)
+    con = [(0, 1, 2, r3.table, r3.bar_table)]
+    first, every = Budget("test"), Budget("test")
+    solutions = solve(3, 3, con, first)
+    assert first.nodes == 0
+    assert next(solutions) == (0, 0, 0) and first.nodes == 2
+    assert len(list(solve(3, 3, con, every))) == 9 and every.nodes == 3 + 9
 
 
 def test_greedy_order_branches_on_determining_arcs():
@@ -149,7 +158,7 @@ def test_greedy_order_branches_on_determining_arcs():
     assert sorted(order) == list(range(d.n_arcs))
     greedy, by_index = Budget("test"), Budget("test")
     assert (sorted(solve(d.n_arcs, q.m, constraints, greedy, order=order))
-            == solve(d.n_arcs, q.m, constraints, by_index))
+            == list(solve(d.n_arcs, q.m, constraints, by_index)))
     assert greedy.nodes == 5 + 5**2 + 5**3 < by_index.nodes
 
 
