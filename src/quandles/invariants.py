@@ -13,11 +13,7 @@ class TwoVarPolynomial:
     """Sum of c * s^i t^j terms with integer coefficients."""
 
     def __init__(self, terms):
-        collected = {}
-        for (i, j), c in dict(terms).items():
-            if c:
-                collected[(i, j)] = c
-        self.terms = collected
+        self.terms = {key: c for key, c in dict(terms).items() if c}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TwoVarPolynomial) and self.terms == other.terms
@@ -86,8 +82,7 @@ def p_polynomial_formula(n: int, sigma: Permutation) -> TwoVarPolynomial:
     alpha = len(sigma.fixed_points())
     terms = {}
     for key, c in (((n + 1, n + 1), alpha), ((n, n + 1), n - alpha), ((n + 1, 1 + alpha), 1)):
-        if c:
-            terms[key] = terms.get(key, 0) + c
+        terms[key] = terms.get(key, 0) + c  # zero terms drop in TwoVarPolynomial
     return TwoVarPolynomial(terms)
 
 

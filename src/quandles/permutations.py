@@ -128,9 +128,19 @@ def _parse_image(text: str, n: int, first: int) -> tuple:
 
 def _format_image(image, first: int) -> str:
     """Cycle notation of an image tuple on first..; fixed points omitted, the
-    identity as "()"."""
-    return "".join("(" + " ".join(map(str, c)) + ")"
-                   for c in _cycles(image, first, fixed=False)) or "()"
+    identity as "()". The cycles are those of _cycles, in its order."""
+    done = [False] * (len(image) + first)  # by point: walked to from a least point
+    parts = []
+    for start, p in enumerate(image, first):
+        if p != start and not done[start]:
+            cycle = [start]
+            while p != start:
+                done[p] = True
+                cycle.append(p)
+                p = image[p - first]
+            parts.append("(%d %d)" % (start, cycle[1]) if len(cycle) == 2
+                         else "(" + " ".join(map(str, cycle)) + ")")
+    return "".join(parts) or "()"
 
 
 def parse_cycles(text: str, n: int) -> Permutation:

@@ -6,7 +6,10 @@ also means x = B[z][y]. Once y is known it propagates forward to z and
 backward to x. The search branches on the first unassigned variable of a
 given order and tries values in increasing order, so with the order
 range(n_vars) solutions come out in lexicographic order. Every value tried
-at a branch spends one node of a Budget.
+at a branch spends one node of a Budget. The last unknown is not propagated
+(unless values must differ or it sits at a kink): the values that pass are
+the AND of one bitmask per watch entry on it (forward checking, Haralick &
+Elliott 1980), each still spending its node, so node counts are unchanged.
 """
 
 from __future__ import annotations
@@ -40,62 +43,91 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
     so a reader that stops early spends only the nodes before its last answer.
     """
     order = list(range(n_vars)) if order is None else list(order)
+    if not order:
+        yield ()
+        return
     watch = _watch_lists(n_vars, constraints)
     val = [-1] * n_vars
-    used = [False] * n  # only set when distinct
+    used = [False] * (n + 1)  # set only when distinct; used[-1] is spare, for val -1
     trail = []  # variables set by propagation, in order
+    # checks[w]: w's watch entries with their tables' masks; None if distinct or at a kink
+    masks = {}
+    checks = [None if distinct or any(u == w for u, _, _ in entries) else
+              [(u, target, t, masks.setdefault(id(t), [None] * n)) for u, target, t in entries]
+              for w, entries in enumerate(watch)]
 
-    def propagate(v: int, val=val, watch=watch, trail=trail) -> bool:
-        """Assign everything v determines; False on a conflict. The hot loop
-        of every search (the defaults make its names locals)."""
-        pending = [v]
-        while pending:
-            w = pending.pop()
-            row = val[w]
-            for u, target, table in watch[w]:
+    spend, depth, last = budget.spend, len(order), n_vars - 1
+    stack = []  # the branches above the one on order[pos]: (pos, mark, values)
+    pos, mark, values = 0, 0, iter(range(n))  # order[pos]'s values left to try
+    while True:
+        v = order[pos]
+        if len(stack) + mark == last and checks[v] is not None:
+            # v is the last unknown, so each of its watch entries is a check:
+            # AND one mask per entry instead of propagating each value
+            allowed = -1
+            for u, target, table, cache in checks[v]:
                 col = val[u]
-                if col < 0:
-                    continue
-                want = table[row][col]
-                have = val[target]
-                if have == want:
-                    continue
-                if have >= 0 or distinct and used[want]:
-                    return False
-                used[want] = distinct
-                val[target] = want
-                trail.append(target)
-                pending.append(target)
-        return True
-
-    spend, depth = budget.spend, len(order)
-
-    def extend(pos: int, val=val, used=used, trail=trail, order=order):
-        """Yield each solution below the branch on order[pos], which is unassigned."""
-        v, mark = order[pos], len(trail)
-        for a in range(n):
-            if distinct and used[a]:
-                continue
-            spend()
-            used[a] = distinct
-            val[v] = a
-            if propagate(v):
-                nxt = pos + 1
-                while nxt < depth and val[order[nxt]] >= 0:
-                    nxt += 1
-                if nxt < depth:
-                    yield from extend(nxt)
-                else:
+                if cache[col] is None:  # [t]: the b with table[b][col] == t;
+                    # [n], read as [-1] when target is v: those equal to b
+                    cache[col] = [0] * (n + 1)
+                    for b, row in enumerate(table):
+                        cache[col][row[col]] |= 1 << b
+                        cache[col][n] |= (row[col] == b) << b
+                allowed &= cache[col][val[target]]
+            for a in values:
+                spend()
+                if allowed >> a & 1:
+                    val[v] = a
                     yield tuple(val)
-            if len(trail) > mark:
+        for a in values:
+            if len(trail) > mark:  # undo what the value before propagated
                 for w in trail[mark:]:
                     used[val[w]] = False
                     val[w] = -1
                 del trail[mark:]
-            used[a] = False
-        val[v] = -1
-
-    return extend(0) if order else iter([()])
+            if distinct:
+                used[val[v]] = False  # the value before
+                if used[a]:
+                    continue
+                used[a] = True
+            spend()
+            val[v] = a
+            pending = [v]  # assign everything v determines; a break is a conflict
+            while pending:
+                w = pending.pop()
+                row = val[w]
+                for u, target, table in watch[w]:
+                    col = val[u]
+                    if col < 0:
+                        continue
+                    want = table[row][col]
+                    have = val[target]
+                    if have == want:
+                        continue
+                    if have >= 0 or distinct and used[want]:
+                        break
+                    used[want] = distinct
+                    val[target] = want
+                    trail.append(target)
+                    pending.append(target)
+                else:
+                    continue  # w conflicts with nothing
+                break
+            else:  # no conflict: branch on the next unknown, or yield
+                nxt = pos + 1
+                while nxt < depth and val[order[nxt]] >= 0:
+                    nxt += 1
+                if nxt < depth:
+                    stack.append((pos, mark, values))
+                    pos, mark, values = nxt, len(trail), iter(range(n))
+                    break
+                yield tuple(val)
+        else:  # every value tried; the next value of a branch above undoes them
+            used[val[v]] = False
+            val[v] = -1
+            if not stack:
+                return
+            pos, mark, values = stack.pop()
 
 
 def greedy_order(n_vars: int, constraints) -> list:

@@ -12,6 +12,8 @@ from quandles import (
     linalg,
     parse_diagram,
 )
+from quandles.permutations import _cycles
+from quandles.solve import _watch_lists
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -244,3 +246,69 @@ def dense_relation_rows(q: Quandle, rho, n: int, basis):
             if any(row):
                 rows.add(tuple(row))
     return tuple(sorted(rows))
+
+
+def reference_solve(n_vars: int, n: int, constraints, budget, order=None,
+                    distinct: bool = False):
+    """The solver as plain recursion, one generator per open branch and a
+    value loop at every level: solutions in search order, one Budget node per
+    value tried."""
+    order = list(range(n_vars)) if order is None else list(order)
+    watch = _watch_lists(n_vars, constraints)
+    val = [-1] * n_vars
+    used = [False] * n  # only set when distinct
+    trail = []  # variables set by propagation, in order
+
+    def propagate(v: int) -> bool:
+        pending = [v]
+        while pending:
+            w = pending.pop()
+            row = val[w]
+            for u, target, table in watch[w]:
+                col = val[u]
+                if col < 0:
+                    continue
+                want = table[row][col]
+                have = val[target]
+                if have == want:
+                    continue
+                if have >= 0 or distinct and used[want]:
+                    return False
+                used[want] = distinct
+                val[target] = want
+                trail.append(target)
+                pending.append(target)
+        return True
+
+    def extend(pos: int):
+        v, mark = order[pos], len(trail)
+        for a in range(n):
+            if distinct and used[a]:
+                continue
+            budget.spend()
+            used[a] = distinct
+            val[v] = a
+            if propagate(v):
+                nxt = pos + 1
+                while nxt < len(order) and val[order[nxt]] >= 0:
+                    nxt += 1
+                if nxt < len(order):
+                    yield from extend(nxt)
+                else:
+                    yield tuple(val)
+            for w in trail[mark:]:
+                used[val[w]] = False
+                val[w] = -1
+            del trail[mark:]
+            used[a] = False
+        val[v] = -1
+
+    return extend(0) if order else iter([()])
+
+
+def set_walk_format(image, first: int) -> str:
+    """Cycle notation of an image tuple on first.. as each cycle's points
+    joined from the set-walk of _cycles; fixed points omitted, the identity
+    as "()"."""
+    return "".join("(" + " ".join(map(str, c)) + ")"
+                   for c in _cycles(image, first, fixed=False)) or "()"

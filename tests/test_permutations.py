@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import set_walk_format
 from quandles.permutations import (
     Permutation,
     _format_image,
@@ -168,6 +169,36 @@ def test_cycle_codec_round_trips_in_both_labellings(points, first):
     assert _parse_image(text, len(image), first) == image
     if first == 1:
         assert format_cycles(Permutation(image)) == text
+
+
+def _involutions(n):
+    """Every involution of range(n) as an image tuple: the least point left is
+    fixed or swapped with each later one, then the rest are paired."""
+    def build(image, rest):
+        if not rest:
+            yield tuple(image)
+            return
+        p, *others = rest
+        yield from build(image, others)
+        for q in others:
+            image[p], image[q] = q, p
+            yield from build(image, [r for r in others if r != q])
+            image[p], image[q] = p, q
+    return list(build(list(range(n)), list(range(n))))
+
+
+def test_format_image_matches_the_set_walk():
+    for n in range(1, 8):
+        for points in iter_perms(range(n)):
+            for first in (0, 1):
+                image = tuple(p + first for p in points)
+                assert _format_image(image, first) == set_walk_format(image, first)
+    rhos = _involutions(10)
+    assert len(rhos) == 9496
+    for first in (0, 1):
+        shifted = [tuple(p + first for p in rho) for rho in rhos]
+        assert ([_format_image(rho, first) for rho in shifted]
+                == [set_walk_format(rho, first) for rho in shifted])
 
 
 @pytest.mark.parametrize("text, first, message", [

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+from bisect import bisect_right
 from itertools import islice, product
 
 import pytest
@@ -13,11 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandles
-from helpers import brute_force_colorings, brute_force_homs, p_coloring_tuple_predicate
+from helpers import (
+    FIXTURES,
+    brute_force_colorings,
+    brute_force_homs,
+    load_diagram,
+    p_coloring_tuple_predicate,
+    reference_solve,
+)
 from quandles import (
     Coeff,
     LinkingGraph,
     SearchCapError,
+    all_permutations,
+    conjugacy_class_representatives,
     cohomology_Q,
     colorings,
     dihedral,
@@ -28,6 +38,7 @@ from quandles import (
     is_isomorphic,
     p_quandle,
     parse_cycles,
+    parse_diagram,
     relabel_quandle,
     synthesize_link,
     trivial,
@@ -106,6 +117,94 @@ def test_is_isomorphic_returns_the_first_bijective_hom(x, data):
     bijective = [img for img in brute_force_homs(x, y) if len(set(img)) == x.m]
     found = is_isomorphic(x, y)
     assert (found.image if found else None) == (bijective[0] if bijective else None)
+
+
+ORACLE_QUANDLES = ([trivial(m) for m in range(1, 5)] + [dihedral(m) for m in range(3, 7)]
+                   + [p_quandle(n, s) for n in range(1, 5) for s in all_permutations(n)])
+ORACLE_NAMES = ([f"T{m}" for m in range(1, 5)] + [f"R{m}" for m in range(3, 7)]
+                + [f"P{s.n}{s.image}" for n in range(1, 5) for s in all_permutations(n)])
+# the quandles above up to isomorphism: one P(n, σ) per cycle type
+SWEEP_QUANDLES = ORACLE_QUANDLES[:8] + [p_quandle(n, s) for n in range(1, 5)
+                                        for s in conjugacy_class_representatives(n)]
+# a search of at most this many nodes among them is also run at every cap
+# below its count
+SWEEP_NODES = 300
+
+
+def _hom_problem(x, y):
+    constraints = [(a, b, x.table[a][b], y.table, y.bar_table)
+                   for a in range(x.m) for b in range(x.m) if a != b]
+    return x.m, y.m, constraints, None
+
+
+def _coloring_problem(d, q):
+    constraints = [(c.under_in, c.over, c.under_out)
+                   + ((q.table, q.bar_table) if c.sign > 0 else (q.bar_table, q.table))
+                   for c in d.crossings]
+    return d.n_arcs, q.m, constraints, greedy_order(d.n_arcs, constraints)
+
+
+def _run(search, problem, distinct=False, cap=None):
+    """(answers, Budget.nodes as each answer came, nodes at the end, whether the
+    cap stopped the search)."""
+    n_vars, n, constraints, order = problem
+    budget = Budget("test")
+    if cap is not None:
+        budget.cap = cap
+    answers, nodes_at = [], []
+    try:
+        for answer in search(n_vars, n, constraints, budget, order=order, distinct=distinct):
+            answers.append(answer)
+            nodes_at.append(budget.nodes)
+    except SearchCapError:
+        return answers, nodes_at, budget.nodes, True
+    return answers, nodes_at, budget.nodes, False
+
+
+def assert_solves_like_the_reference(problem, distinct=False, sweep=False):
+    """The same answers in the same order as the recursive value-loop solver,
+    with the same node count at each answer and at the end. With ``sweep``,
+    every cap below a count of at most SWEEP_NODES stops the search on node
+    cap + 1, after the answers the reference yields within cap nodes."""
+    want = _run(reference_solve, problem, distinct)
+    assert _run(solve, problem, distinct) == want
+    answers, nodes_at, nodes, _ = want
+    if sweep and nodes <= SWEEP_NODES:
+        for cap in range(nodes):
+            k = bisect_right(nodes_at, cap)  # the answers found within cap nodes
+            stopped = (answers[:k], nodes_at[:k], cap + 1, True)
+            assert _run(solve, problem, distinct, cap) == stopped
+
+
+@pytest.mark.parametrize("x", ORACLE_QUANDLES, ids=ORACLE_NAMES)
+def test_hom_search_matches_the_reference_solver(x):
+    for y in ORACLE_QUANDLES:
+        sweep = x in SWEEP_QUANDLES and y in SWEEP_QUANDLES
+        for distinct in (False, True):
+            assert_solves_like_the_reference(_hom_problem(x, y), distinct, sweep)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lnk")))
+def test_fixture_colorings_match_the_reference_solver(name):
+    d = load_diagram(name)
+    for q in ORACLE_QUANDLES:
+        assert_solves_like_the_reference(_coloring_problem(d, q), sweep=q in SWEEP_QUANDLES)
+
+
+@ORACLE
+@given(linking_graphs(max_m=4, max_w=3), st.sampled_from(ORACLE_QUANDLES))
+def test_synthesized_colorings_match_the_reference_solver(g, q):
+    assert_solves_like_the_reference(_coloring_problem(synthesize_link(g), q))
+
+
+@pytest.mark.parametrize("text", [(FIXTURES / "kink1.lnk").read_text(), "X 0 0 1 +\nX 1 1 0 +\n"])
+def test_a_kink_has_one_coloring_per_element(text):
+    # at a kink an arc is its own over-arc: the last unknown is its own
+    # partner in a constraint, so no table column is known for a mask
+    d = parse_diagram(text)
+    for q in ORACLE_QUANDLES:
+        assert colorings(d, q) == brute_force_colorings(d, q)
+        assert len(colorings(d, q)) == q.m
 
 
 def test_solver_options():
