@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .limits import Budget
@@ -66,12 +67,9 @@ def quandle_polynomial(q: Quandle) -> TwoVarPolynomial:
     c(x) = #{y : y*x = y}."""
     t = q.table
     rng = range(q.m)
-    terms = {}
-    for x in rng:
-        r = sum(1 for y in rng if t[x][y] == x)
-        c = sum(1 for y in rng if t[y][x] == y)
-        terms[(r, c)] = terms.get((r, c), 0) + 1
-    return TwoVarPolynomial(terms)
+    r = [sum(1 for y in rng if t[x][y] == x) for x in rng]
+    c = [sum(1 for y in rng if t[y][x] == y) for x in rng]
+    return TwoVarPolynomial(Counter(zip(r, c)))
 
 
 def p_polynomial_formula(n: int, sigma: Permutation) -> TwoVarPolynomial:

@@ -57,15 +57,11 @@ class FiniteGroupTable:
         self.order = n = len(self.table)
         if any(len(row) != n or min(row) < 0 or max(row) >= n for row in self.table):
             raise ValueError("table entries must index elements")
-        self.identity = self._find_identity()
+        self.identity = next((e for e in range(n) if self.table[e] == tuple(range(n))
+                              and all(row[e] == x for x, row in enumerate(self.table))), None)
+        if self.identity is None:
+            raise ValueError("no identity element")
         self._validate()
-
-    def _find_identity(self) -> int:
-        n = self.order
-        for e in range(n):
-            if all(self.table[e][x] == x == self.table[x][e] for x in range(n)):
-                return e
-        raise ValueError("no identity element")
 
     def _validate(self) -> None:
         n = self.order
@@ -75,8 +71,8 @@ class FiniteGroupTable:
                 raise ValueError(f"element {x} has no inverse")
         # Light's test: the b with (ab)c = a(bc) for all a, c are closed under
         # the product, so b runs over generators only: each element that right
-        # products of the earlier ones have not reached
-        gens, reached = [], set()
+        # products of the earlier ones have not reached; the identity passes
+        gens, reached = [], {self.identity}
         for b in range(n):
             if b in reached:
                 continue
@@ -140,15 +136,29 @@ def is_isomorphic(x: Quandle, y: Quandle) -> QuandleMap | None:
 
 def _group_table(images):
     """Composition table of a list of permutations given as image tuples, which
-    must be closed; row f, column g holds f after g. Each of its |G|^2 cells
-    is a node of one Budget, charged before any is built."""
+    must be closed; row f, column g holds f after g. Only the rows of
+    generators, images not reached from earlier ones, are composed point by
+    point, and that checks closure; the row of b h is row b read through row h.
+    Each of the |G|^2 cells is a node of one Budget, charged before any is built."""
     Budget("group", len(images) ** 2)
     index = {image: i for i, image in enumerate(images)}
+    rows, gens = [None] * len(images), []
     try:
-        table = [[index[tuple(map(f.__getitem__, g))] for g in images] for f in images]
+        if images:  # the identity's row
+            rows[index[tuple(range(len(images[0])))]] = list(range(len(images)))
+        for a, f in enumerate(images):
+            if rows[a] is None:
+                rows[a] = [index[tuple(map(f.__getitem__, g))] for g in images]
+                gens.append(rows[a])
+                reached = [h for h, row in enumerate(rows) if row is not None]
+                for h in reached:  # grows while walked: closes it under gens
+                    for row_b in gens:
+                        if rows[k := row_b[h]] is None:
+                            rows[k] = list(map(row_b.__getitem__, rows[h]))
+                            reached.append(k)
     except KeyError:
         raise ValueError("set of maps is not closed under composition") from None
-    return FiniteGroupTable(table)
+    return FiniteGroupTable(rows)
 
 
 def automorphism_group(q: Quandle):

@@ -88,14 +88,13 @@ class Permutation:
         return perm
 
 
-def _cycles(image, first: int, fixed: bool = True):
-    """The cycles of the map i + first -> image[i], fixed points included
-    unless ``fixed`` is false: each walked from its least point, listed in
-    order of least point."""
+def _cycles(image, first: int):
+    """The cycles of the map i + first -> image[i], fixed points included: each
+    walked from its least point, listed in order of least point."""
     seen = set()  # points walked to; a cycle's least point is never walked to
     cycles = []
     for start, p in enumerate(image, first):
-        if (fixed or p != start) and start not in seen:
+        if start not in seen:
             cycle = [start]
             while p != start:
                 seen.add(p)

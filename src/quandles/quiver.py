@@ -9,6 +9,7 @@ weight of every crossing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,10 +76,7 @@ class Quiver:
 
     @cached_property
     def multiplicity(self) -> dict:
-        mult: dict = {}
-        for e in self.edges:
-            mult[e] = mult.get(e, 0) + 1
-        return mult
+        return Counter(self.edges)
 
     @property
     def n_vertices(self) -> int:
@@ -166,11 +164,7 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver,
     if not extend(0):
         return False
     # re-verify the induced edge bijection edge by edge
-    remapped: dict = {}
-    for a, b in q1.edges:
-        key = (mapping[a], mapping[b])
-        remapped[key] = remapped.get(key, 0) + 1
-    assert remapped == m2
+    assert Counter((mapping[a], mapping[b]) for a, b in q1.edges) == m2
     return True
 
 
@@ -203,8 +197,5 @@ def cocycle_invariant(d: LinkDiagram, q: Quandle, phi: Cocycle2) -> GroupRingEle
     """Formal sum over colorings of t^(theta-weight)."""
     if not is_2cocycle(q, phi):
         raise ValueError("phi is not a 2-cocycle of the quandle")
-    coeffs: dict = {}
-    for coloring in colorings(d, q):
-        e = theta_weight(d, q, phi, coloring)
-        coeffs[e] = coeffs.get(e, 0) + 1
-    return GroupRingElement(coeffs)
+    return GroupRingElement(Counter(theta_weight(d, q, phi, coloring)
+                                    for coloring in colorings(d, q)))

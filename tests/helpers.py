@@ -6,12 +6,14 @@ from pathlib import Path
 from quandles import (
     AxiomError,
     Coloring,
+    FiniteGroupTable,
     LinkDiagram,
     Quandle,
     cochain_slice,
     linalg,
     parse_diagram,
 )
+from quandles.limits import Budget
 from quandles.permutations import _cycles
 from quandles.solve import _watch_lists
 
@@ -120,6 +122,27 @@ def group_mul_table(perms):
     product = left-then-right composition a;b = b after a."""
     index = {p: i for i, p in enumerate(perms)}
     return [[index[tuple(b[v] for v in a)] for b in perms] for a in perms]
+
+
+def composition_table(images):
+    """The composition table of a closed list of image tuples with every one of
+    its |G|^2 cells composed point by point: row f, column g holds f after g."""
+    Budget("group", len(images) ** 2)
+    index = {image: i for i, image in enumerate(images)}
+    try:
+        table = [[index[tuple(map(f.__getitem__, g))] for g in images] for f in images]
+    except KeyError:
+        raise ValueError("set of maps is not closed under composition") from None
+    return FiniteGroupTable(table)
+
+
+def inner_images(q: Quandle):
+    """The columns of q closed under composition by repeated squaring of the
+    set, sorted."""
+    elems = {q.column_perm(y) for y in q.elements}
+    while (grown := elems | {tuple(map(a.__getitem__, b)) for a in elems for b in elems}) != elems:
+        elems = grown
+    return sorted(elems)
 
 
 def conjugation_quandle(perms):
@@ -311,4 +334,4 @@ def set_walk_format(image, first: int) -> str:
     joined from the set-walk of _cycles; fixed points omitted, the identity
     as "()"."""
     return "".join("(" + " ".join(map(str, c)) + ")"
-                   for c in _cycles(image, first, fixed=False)) or "()"
+                   for c in _cycles(image, first) if len(c) > 1) or "()"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +8,10 @@ from helpers import (
     associativity_witness,
     brute_force_automorphisms,
     brute_force_homs,
+    composition_table,
     conjugation_quandle,
     group_mul_table,
+    inner_images,
     symmetric_group_elements,
 )
 from quandles import (
@@ -20,6 +24,7 @@ from quandles import (
     conjugacy_class_representatives,
     dihedral,
     endomorphisms,
+    format_cycles,
     from_table,
     hom_quandle,
     homs,
@@ -32,6 +37,7 @@ from quandles import (
     relabel_quandle,
     trivial,
 )
+from quandles.morphisms import _group_table
 
 P3 = p_quandle(2, parse_cycles("(1 2)", 2))
 
@@ -101,6 +107,55 @@ def test_inner_groups():
     assert inner_group(trivial(5)).order == 1
     r3 = inner_group(dihedral(3))
     assert r3.order == 6 and not r3.is_abelian()
+
+
+GROUP_TABLE_CASES = {
+    **{f"T{m}": trivial(m) for m in range(1, 6)},
+    **{f"R{m}": dihedral(m) for m in (*range(3, 13), 15)},
+    **{f"P{n} {format_cycles(sigma)}": p_quandle(n, sigma)
+       for n in range(1, 6) for sigma in conjugacy_class_representatives(n)},
+}
+
+
+@pytest.mark.parametrize("q", GROUP_TABLE_CASES.values(), ids=GROUP_TABLE_CASES.keys())
+def test_group_tables_match_the_all_cells_oracle(q):
+    maps, group = automorphism_group(q)
+    assert group.table == composition_table([f.image for f in maps]).table
+    assert inner_group(q).table == composition_table(inner_images(q)).table
+
+
+def test_group_table_rejects_sets_that_are_not_closed():
+    images = [f.image for f in automorphism_group(dihedral(5))[0]]
+    identity, a, b = images[0], images[1], images[5]
+    # x -> 2x and x -> x + 1 generate the 20 affine maps of Z/5
+    assert (identity, a, b, len(images)) == ((0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (1, 2, 3, 4, 0), 20)
+    cases = [images[:i] + images[i + 1:] for i in range(len(images))]
+    cases += [[a, b], [identity, a, b], images[1:]]
+    for case in cases:
+        for build in (composition_table, _group_table):
+            with pytest.raises(ValueError, match="^set of maps is not closed under composition$"):
+                build(case)
+    for build in (composition_table, _group_table):
+        with pytest.raises(ValueError, match="^no identity element$"):
+            build([])
+
+
+def test_group_table_composes_only_generator_rows():
+    # at most log2|G| generators (Lagrange), so that many rows of |G| maps of
+    # m points each are composed point by point; the all-cells table composes
+    # all |G|^2 pairs, 14,400 * 15 lookups for Aut(R15)
+    lookups = 0
+
+    class CountingImage(tuple):
+        def __getitem__(self, i):
+            nonlocal lookups
+            lookups += 1
+            return tuple.__getitem__(self, i)
+
+    images = [f.image for f in automorphism_group(dihedral(15))[0]]
+    group = _group_table([CountingImage(image) for image in images])
+    assert group.table == composition_table(images).table
+    assert 0 < lookups <= math.ceil(math.log2(120)) * 120 * 15
 
 
 def test_isomorphism_examples():
