@@ -17,6 +17,7 @@ from itertools import islice
 
 from . import cohomology as coh
 from . import invariants, links, morphisms
+from .limits import DEFAULT_SEARCH_CAP, Budget
 from .quiver import cocycle_invariant, quiver as build_quiver, quiver_dot
 from .permutations import _format_image, _parse_image, parse_cycles
 from .quandle import Quandle, dihedral, p_quandle, trivial
@@ -40,14 +41,14 @@ def load_quandle(source: str) -> Quandle:
     if not fields:
         raise ValueError("empty quandle argument")
     kind = fields[0].upper()
-    if kind == "T" and len(fields) == 2:
-        return trivial(int(fields[1]))
-    if kind == "R" and len(fields) == 2:
-        return dihedral(int(fields[1]))
-    if kind == "P" and len(fields) >= 2:
+    if kind in ("T", "R") and len(fields) == 2 or kind == "P" and len(fields) >= 2:
         n = int(fields[1])
-        cycles = fields[2] if len(fields) > 2 else "()"
-        return p_quandle(n, parse_cycles(cycles, n))
+        cells = max(n + (kind == "P"), 0) ** 2
+        if cells > DEFAULT_SEARCH_CAP:  # a table the default cap allows is never refused
+            Budget("table", cells)
+        if kind == "P":
+            return p_quandle(n, parse_cycles(fields[2] if len(fields) > 2 else "()", n))
+        return (trivial if kind == "T" else dihedral)(n)
     raise ValueError(f"not a file or constructor expression: {source!r}")
 
 
@@ -171,11 +172,8 @@ def _cmd_goodinv(args) -> int:
 def _cmd_cohomology(args) -> int:
     q = load_quandle(args.quandle)
     coeff = coh.Coeff.parse(args.coeff)
-    if args.rho is not None:
-        rho = _parse_image(args.rho, q.m, 0)
-        summary = coh.symmetric_cohomology(q, rho, args.degree, coeff)
-    else:
-        summary = coh.cohomology_Q(q, args.degree, coeff)
+    summary = (coh.cohomology_Q(q, args.degree, coeff) if args.rho is None else
+               coh.symmetric_cohomology(q, _parse_image(args.rho, q.m, 0), args.degree, coeff))
     _emit(args,
           lambda: {"group": str(summary), "rank": summary.rank,
                    "torsion": list(summary.torsion), "coeff": str(coeff)},

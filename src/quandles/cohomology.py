@@ -23,6 +23,14 @@ R is empty, as delta_out*delta_in = 0. Over Z, ker S is a direct summand of
 Z^{c_n}, so with M = delta_in*ker(R*delta_in)^T, H^n is Z^(c_n - rk S - rk M)
 plus the factors > 1 of the Smith form of M. Over a field, its dimension is
 c_n - rk S - (rk delta_in - rk(R*delta_in)).
+
+The complex splits into blocks. Call y inert if its column is the identity.
+The two faces that delete an inert x_i cancel; every other face acts on the
+entries before x_i by a column, which keeps each inert entry inert and in its
+Inn-orbit. So a block is spanned by the tuples with one word of the orbits of
+their inert entries (of the pairs {O, rho(O)}, as a relation swaps x_i for
+rho(x_i)). H^n is the sum of the blocks' groups. A trivial column makes the
+blocks small, so degree 4 is allowed for a quandle that has one.
 """
 
 from __future__ import annotations
@@ -75,11 +83,8 @@ class AbelianGroupSummary:
             return f"Q^{self.rank}"
         if self.coeff.kind == "Zp":
             return f"F{self.coeff.p}^{self.rank}"
-        parts = []
-        if self.rank:
-            parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " (+) ".join(parts) if parts else "0"
+        parts = [f"Z^{self.rank}"] * bool(self.rank) + [f"Z/{d}" for d in self.torsion]
+        return " (+) ".join(parts) or "0"
 
 
 def tuple_basis(q: Quandle, n: int):
@@ -90,9 +95,25 @@ def tuple_basis(q: Quandle, n: int):
     return basis
 
 
-def _check_degree(n: int, lo: int, hi: int) -> None:
-    if not lo <= n <= hi:
-        raise ValueError(f"degree {n} outside supported range {lo}..{hi}")
+def _columns(q: Quandle):
+    """The table's columns, and whether each element is inert."""
+    cols, identity = tuple(zip(*q.table)), tuple(q.elements)
+    return cols, [col == identity for col in cols]
+
+
+def _letters(q: Quandle, inert, rho):
+    """Each element's letter of a block key: () unless it is inert, else the
+    least element of its Inn-orbit O, or of O and rho(O) when rho is given."""
+    least = [-1] * q.m
+    for start in itertools.compress(q.elements, inert):
+        pending = [] if least[start] >= 0 else [start]
+        while pending:
+            for z in q.table[pending.pop()]:  # x*y for every y
+                if least[z] < 0:
+                    least[z] = start
+                    pending.append(z)
+    return [(min(least[x], least[r]),) if inert[x] else ()
+            for x, r in zip(q.elements, rho or q.elements)]
 
 
 def _size(q: Quandle, n: int) -> int:
@@ -108,21 +129,25 @@ def boundary_matrix(q: Quandle, n: int):
     It is the transpose of the coboundary rows that `cochain_slice` builds,
     whose dense cells are nodes of one Budget, charged before any is built.
     """
-    _check_degree(n, 2, 4)
+    if not 2 <= n <= 4:
+        raise ValueError(f"degree {n} outside supported range 2..4")
     Budget("cochain", _size(q, n) * _size(q, n - 1))
     lower = tuple_basis(q, n - 1)
-    rows = _coboundary_rows(q, tuple_basis(q, n), lower)
+    rows = _coboundary_rows(_columns(q), tuple_basis(q, n), lower)
     return [[row[i] for row in rows] for i in range(len(lower))]
 
 
-def _coboundary_rows(q: Quandle, basis, lower):
+def _coboundary_rows(columns, basis, lower):
     """One dense row per tuple t of basis: the boundary of t (module docstring)
-    on the lower basis, where the degenerate faces are absent and so vanish."""
-    index, cols = {t: i for i, t in enumerate(lower)}, tuple(zip(*q.table))
+    on the lower basis, where the degenerate faces are absent and so vanish,
+    and the two faces that delete an inert entry cancel, so they are skipped."""
+    (cols, inert), index = columns, {t: i for i, t in enumerate(lower)}
     rows = []
     for t in basis:
         row = [0] * len(lower)
         for i, y in enumerate(t):  # face i + 1, whose sign is (-1)^(i+1)
+            if inert[y]:
+                continue
             head, tail, sign = t[:i], t[i + 1:], i % 2 * 2 - 1
             acted = tuple(map(cols[y].__getitem__, head)) + tail
             for face, coeff in ((head + tail, sign), (acted, -sign)):
@@ -132,25 +157,24 @@ def _coboundary_rows(q: Quandle, basis, lower):
     return tuple(rows)
 
 
-def _relation_rows(q: Quandle, rho, n: int, basis):
-    """Involution relations of degree n as integer rows over the tuple basis.
+def _relation_rows(cols, rho, tuples, basis):
+    """Involution relations of the given n-tuples as integer rows over the basis.
 
     Each row is the indicator of a sum T + T'; coefficients are kept as-is
     (a relation 2*f(T) = 0 must stay 2, it is vacuous mod 2).
     """
-    index, cols = {t: i for i, t in enumerate(basis)}, tuple(zip(*q.table))
+    index = {t: i for i, t in enumerate(basis)}
     relations = set()  # each as the sorted positions of its terms in the basis
-    for t in itertools.product(q.elements, repeat=n):
+    for t in tuples:
         for i, y in enumerate(t):
             other = tuple(map(cols[y].__getitem__, t[:i])) + (rho[y],) + t[i + 1:]
             relations.add(tuple(sorted(index[s] for s in (t, other) if s in index)))
     rows = []
     for positions in relations - {()}:
-        row = [0] * len(basis)
+        rows.append(row := [0] * len(basis))
         for pos in positions:
-            row[pos] += 1
-        rows.append(tuple(row))
-    return tuple(sorted(rows))
+            row[pos] += 1  # a position twice in a relation is a 2
+    return tuple(sorted(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -176,24 +200,53 @@ class CochainComplexSlice:
             raise AssertionError("coboundary composed with itself is nonzero")
 
 
-def cochain_slice(q: Quandle, n: int, rho=None) -> CochainComplexSlice:
-    """Build the degree-n slice; 2 <= n <= 3 so that the degree n+1 boundary exists.
-    Its dense cells, with one relation row per n-tuple and position before
-    duplicates go, are nodes of one Budget, charged before any is built."""
-    _check_degree(n, 2, 3)
-    relations = 0 if rho is None else n * q.m**n
-    Budget("cochain", _size(q, n) * (_size(q, n - 1) + _size(q, n + 1) + relations))
-    below, basis, above = (tuple(tuple_basis(q, k)) for k in (n - 1, n, n + 1))
+def _blocks(q: Quandle, n: int, rho, split: bool):
+    """The slices of the degree-n blocks that hold an n-tuple (module
+    docstring), or the whole slice if not split or nothing is inert. The
+    degree is 2..3, or 2..4 with a trivial column. The whole slice's dense
+    cells, n relation rows for each n-tuple among them, are nodes of a Budget
+    charged before any is built; to split, the tuples to list are charged
+    instead, and then the blocks' cells before any row is built."""
+    columns = _columns(q)
+    top = 4 if any(columns[1]) else 3
+    if not 2 <= n <= top:
+        raise ValueError(f"degree {n} outside supported range 2..{top}")
+    letters = _letters(q, columns[1], rho) if split else [()] * q.m
+    sizes, tuples = [_size(q, k) for k in (n - 1, n, n + 1)], 0 if rho is None else q.m**n
+    if not any(letters):
+        Budget("cochain", sizes[1] * (sizes[0] + sizes[2] + n * tuples))
+        relation_tuples = itertools.product(q.elements, repeat=n) if tuples else ()
+        blocks = [[tuple_basis(q, k) for k in (n - 1, n, n + 1)] + [relation_tuples]]
+    else:
+        Budget("cochain", sum(sizes) + tuples)
+        groups = {}
+        for slot, k in enumerate((n - 1, n, n + 1) + ((n,) if tuples else ())):
+            level = [((x,), letters[x]) for x in q.elements]  # (tuple, key) pairs
+            for _ in range(k - 1):  # the fourth slot lists every n-tuple for rho
+                level = [(t + (x,), key + letters[x]) for t, key in level
+                         for x in q.elements if slot == 3 or x != t[-1]]
+            for t, key in level:
+                groups.setdefault(key, ([], [], [], []))[slot].append(t)
+        blocks = [bases for bases in groups.values() if bases[1]]
+        Budget("cochain", sum(len(b) * (len(lo) + len(hi) + n * len(ts))
+                              for lo, b, hi, ts in blocks))
+    for bases in blocks:  # built by the public cochain_slice, so a trace of it sees each
+        yield cochain_slice(q, n, rho, (columns, bases))
+
+
+def cochain_slice(q: Quandle, n: int, rho=None, _block=None) -> CochainComplexSlice:
+    """Build the whole degree-n slice, 2 <= n <= 3, or n = 4 if q has a trivial
+    column. Its dense cells, with one relation row per n-tuple and position
+    before duplicates go, are nodes of one Budget, charged before any is built.
+    With _block, the columns and the bases (below, basis, above, n-tuples) of a
+    block that `_blocks` has charged, it builds that block's slice."""
+    if _block is None:
+        return next(_blocks(q, n, rho, split=False))
+    columns, (below, basis, above, tuples) = _block
     return CochainComplexSlice(
-        quandle=q,
-        degree=n,
-        basis_below=below,
-        basis=basis,
-        basis_above=above,
-        delta_in=_coboundary_rows(q, basis, below),
-        delta_out=_coboundary_rows(q, above, basis),
-        relations=None if rho is None else _relation_rows(q, rho, n, basis),
-    )
+        q, n, tuple(below), tuple(basis), tuple(above),
+        _coboundary_rows(columns, basis, below), _coboundary_rows(columns, above, basis),
+        None if rho is None else _relation_rows(columns[0], rho, tuples, basis))
 
 
 def _cohomology(sl: CochainComplexSlice, coeff: Coeff) -> AbelianGroupSummary:
@@ -215,10 +268,19 @@ def _cohomology(sl: CochainComplexSlice, coeff: Coeff) -> AbelianGroupSummary:
     return AbelianGroupSummary(coeff, c_n - linalg.rank(stacked, p) - exact)
 
 
+def _block_cohomology(q: Quandle, n: int, rho, coeff) -> AbelianGroupSummary:
+    """H^n as the direct sum over the blocks: the free ranks add, and all the
+    blocks' torsion is merged into invariant factors."""
+    coeff = coeff if isinstance(coeff, Coeff) else Coeff.parse(coeff)
+    parts = [_cohomology(sl, coeff) for sl in _blocks(q, n, rho, split=True)]
+    torsion = linalg._invariant_factors([d for part in parts for d in part.torsion])
+    return AbelianGroupSummary(coeff, sum(part.rank for part in parts),
+                               tuple(d for d in torsion if d > 1))
+
+
 def cohomology_Q(q: Quandle, n: int, coeff) -> AbelianGroupSummary:
     """H^n of the A-valued cochain complex (the formula with no relations)."""
-    coeff = coeff if isinstance(coeff, Coeff) else Coeff.parse(coeff)
-    return _cohomology(cochain_slice(q, n), coeff)
+    return _block_cohomology(q, n, None, coeff)
 
 
 def symmetric_cohomology(q: Quandle, rho, n: int, coeff) -> AbelianGroupSummary:
@@ -230,8 +292,7 @@ def symmetric_cohomology(q: Quandle, rho, n: int, coeff) -> AbelianGroupSummary:
     else:
         rho = tuple(rho)
         SymmetricQuandle(q, rho)  # raises unless rho is a good involution
-    coeff = coeff if isinstance(coeff, Coeff) else Coeff.parse(coeff)
-    return _cohomology(cochain_slice(q, n, rho), coeff)
+    return _block_cohomology(q, n, rho, coeff)
 
 
 @dataclass(frozen=True)
@@ -265,22 +326,12 @@ def is_2cocycle(q: Quandle, phi: Cocycle2) -> bool:
     """Diagonal vanishing plus the degree-2 cocycle identity over all triples."""
     if phi.m != q.m:
         raise ValueError("cochain size does not match the quandle")
-    p = phi.coeff.p if phi.coeff.kind == "Zp" else None
-
-    def is_zero(v) -> bool:
-        return v % p == 0 if p is not None else v == 0
-
-    f = phi.values
-    t = q.table
-    if any(not is_zero(f[x][x]) for x in q.elements):
-        return False
-    for x in q.elements:
-        for y in q.elements:
-            for z in q.elements:
-                defect = f[x][y] + f[t[x][y]][z] - f[x][z] - f[t[x][z]][t[y][z]]
-                if not is_zero(defect):
-                    return False
-    return True
+    p = phi.coeff.p if phi.coeff.kind == "Zp" else 0  # over Z, v % p is not taken
+    f, t, xs = phi.values, q.table, q.elements
+    values = itertools.chain((f[x][x] for x in xs), (  # the diagonal, then each triple
+        f[x][y] + f[t[x][y]][z] - f[x][z] - f[t[x][z]][t[y][z]]
+        for x, y, z in itertools.product(xs, repeat=3)))
+    return not any(v % p if p else v for v in values)
 
 
 def two_cocycle_basis(q: Quandle):

@@ -10,23 +10,21 @@ from .permutations import Permutation
 from .quandle import Quandle
 
 
-class TwoVarPolynomial:
-    """Sum of c * s^i t^j terms with integer coefficients."""
+class _Terms:
+    """A dict of nonzero integer coefficients, equal and hashed by its value."""
 
-    def __init__(self, terms):
+    def __init__(self, terms=()):
         self.terms = {key: c for key, c in dict(terms).items() if c}
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TwoVarPolynomial) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "TwoVarPolynomial") -> "TwoVarPolynomial":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return TwoVarPolynomial(out)
+
+class TwoVarPolynomial(_Terms):
+    """Sum of c * s^i t^j terms with integer coefficients."""
 
     def total(self) -> int:
         return sum(self.terms.values())
@@ -55,11 +53,7 @@ class TwoVarPolynomial:
 
 
 def _power(var: str, exp: int) -> str:
-    if exp == 0:
-        return ""
-    if exp == 1:
-        return var
-    return f"{var}^{exp}"
+    return "" if exp == 0 else var if exp == 1 else f"{var}^{exp}"
 
 
 def quandle_polynomial(q: Quandle) -> TwoVarPolynomial:
@@ -78,10 +72,8 @@ def p_polynomial_formula(n: int, sigma: Permutation) -> TwoVarPolynomial:
     if sigma.n != n:
         raise ValueError(f"permutation degree {sigma.n} != n = {n}")
     alpha = len(sigma.fixed_points())
-    terms = {}
-    for key, c in (((n + 1, n + 1), alpha), ((n, n + 1), n - alpha), ((n + 1, 1 + alpha), 1)):
-        terms[key] = terms.get(key, 0) + c  # zero terms drop in TwoVarPolynomial
-    return TwoVarPolynomial(terms)
+    return TwoVarPolynomial(Counter(  # the exponent pairs, each as often as its coefficient
+        [(n + 1, n + 1)] * alpha + [(n, n + 1)] * (n - alpha) + [(n + 1, 1 + alpha)]))
 
 
 @dataclass(frozen=True)

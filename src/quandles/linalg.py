@@ -95,12 +95,17 @@ def smith_normal_form(a):
         if all(sum(map(bool, v)) == 1 for v in m):
             break
         m = transpose(m)
-    diag = [abs(x) for v in m for x in v if x]
+    return [1] * len(pivots) + _invariant_factors([abs(x) for v in m for x in v if x])
+
+
+def _invariant_factors(diag):
+    """The invariant factors of the diagonal matrix of positive integers diag,
+    in divisibility order: each pair is replaced by its gcd and lcm."""
     for i in range(len(diag)):
         for k in range(i + 1, len(diag)):
             g = gcd(diag[i], diag[k])
             diag[i], diag[k] = g, diag[i] * diag[k] // g
-    return [1] * len(pivots) + diag
+    return diag
 
 
 def _eliminate(a):

@@ -18,8 +18,10 @@ determine the most other arcs.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .limits import Budget
 from .permutations import _cycles
@@ -66,8 +68,7 @@ class LinkDiagram:
         if len(set(self.free_loops)) != len(self.free_loops):
             raise DiagramError("duplicate free loop declaration")
 
-        ins = {}
-        outs = {}
+        ins, outs = {}, {}
         for idx, c in enumerate(self.crossings):
             if c.under_in in ins:
                 raise DiagramError(f"arc {c.under_in} used twice as under_in")
@@ -80,9 +81,7 @@ class LinkDiagram:
             if a in ins or a in outs:
                 raise DiagramError(f"free loop {a} also appears at an undercrossing")
         for a in range(self.n_arcs):
-            if a in free:
-                continue
-            if a not in ins or a not in outs:
+            if a not in free and (a not in ins or a not in outs):
                 raise DiagramError(f"dangling arc {a}: needs one under_in and one under_out")
 
     @cached_property
@@ -168,12 +167,10 @@ class LinkingGraph:
         return len(self.weights)
 
     def to_json(self) -> str:
-        import json
         return json.dumps({"m": self.m, "weights": [list(r) for r in self.weights]})
 
     @classmethod
     def from_json(cls, text: str) -> "LinkingGraph":
-        import json
         data = json.loads(text)
         weights = data.get("weights") if isinstance(data, dict) else None
         if not isinstance(weights, list) or not all(isinstance(r, list) for r in weights):
@@ -189,11 +186,7 @@ def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     if i == j:
         raise ValueError("linking number needs two distinct components")
     owner = d.component_of
-    total = 0
-    for c in d.crossings:
-        pair = {owner[c.under_in], owner[c.over]}
-        if pair == {i, j}:
-            total += c.sign
+    total = sum(c.sign for c in d.crossings if {owner[c.under_in], owner[c.over]} == {i, j})
     if total % 2:
         raise DiagramError(f"odd signed crossing count {total} between {i} and {j}")
     return total // 2
@@ -220,12 +213,9 @@ class Coloring:
 
     def verify(self, d: LinkDiagram, q: Quandle) -> bool:
         col = self.colors
-        for c in d.crossings:
-            expected = (q.op(col[c.under_in], col[c.over]) if c.sign > 0
-                        else q.bar(col[c.under_in], col[c.over]))
-            if col[c.under_out] != expected:
-                return False
-        return True
+        return all(col[c.under_out] == (q.op(col[c.under_in], col[c.over]) if c.sign > 0
+                                        else q.bar(col[c.under_in], col[c.over]))
+                   for c in d.crossings)
 
 
 def colorings(d: LinkDiagram, q: Quandle):
@@ -267,22 +257,12 @@ def synthesize_link(g: LinkingGraph, edge_order=None) -> LinkDiagram:
         if {frozenset(e) for e in edge_order} != needed:
             raise ValueError("edge_order must cover exactly the nonzero edges")
 
-    under_total = [0] * m
-    for i, j in edge_order:
-        k = abs(g.weights[i][j])
-        under_total[i] += k
-        under_total[j] += k
+    under_total = [sum(abs(g.weights[i][j]) for i, j in edge_order if comp in (i, j))
+                   for comp in range(m)]
 
-    arc_base = [0] * m
-    n_arcs = 0
-    free = []
-    for comp in range(m):
-        arc_base[comp] = n_arcs
-        if under_total[comp] == 0:
-            free.append(n_arcs)
-            n_arcs += 1
-        else:
-            n_arcs += under_total[comp]
+    # a component's arcs follow the earlier ones'; one with no undercrossing is a free loop
+    arc_base = list(accumulate((max(k, 1) for k in under_total), initial=0))
+    free = [arc_base[comp] for comp in range(m) if under_total[comp] == 0]
 
     consumed = [0] * m  # under events threaded so far, per component
 

@@ -30,8 +30,7 @@ class QuandleMap:
         return self.image[x]
 
     def verify(self) -> bool:
-        s, t = self.source.table, self.target.table
-        f = self.image
+        s, t, f = self.source.table, self.target.table, self.image
         if len(f) != self.source.m or not all(0 <= v < self.target.m for v in f):
             return False
         return all(f[s[x][y]] == t[f[x]][f[y]]
@@ -64,8 +63,7 @@ class FiniteGroupTable:
         self._validate()
 
     def _validate(self) -> None:
-        n = self.order
-        t = self.table
+        n, t = self.order, self.table
         for x in range(n):
             if self.identity not in t[x]:
                 raise ValueError(f"element {x} has no inverse")

@@ -216,24 +216,19 @@ def centralizer(a: Permutation, bound: int = CENTRALIZER_BOUND):
 def conjugacy_class_representatives(n: int):
     """One permutation per cycle type of S_n, built from integer partitions."""
     reps = []
-    for partition in _partitions(n):
-        image = list(range(1, n + 1))
-        start = 1
-        for length in partition:
-            pts = list(range(start, start + length))
-            for x, y in zip(pts, pts[1:] + pts[:1]):
-                image[x - 1] = y
+    for partition in _partitions(n, n):
+        image, start = [], 1
+        for length in partition:  # the cycle (start ... start + length - 1)
+            image += [*range(start + 1, start + length), start]
             start += length
         reps.append(Permutation(image))
     return reps
 
 
-def _partitions(n: int, largest: int | None = None):
-    if largest is None:
-        largest = n
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts of at most largest, largest parts first."""
     if n == 0:
         yield ()
-        return
     for first in range(min(n, largest), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cohomology import Cocycle2, is_2cocycle
+from .invariants import _Terms
 from .limits import Budget
 from .links import Coloring, LinkDiagram, colorings
 from .morphisms import QuandleMap
@@ -22,38 +23,30 @@ from .quandle import Quandle
 MAX_QUIVER_VERTICES = 128
 
 
-class GroupRingElement:
+class GroupRingElement(_Terms):
     """A finite integer combination of powers of t (element of Z[t, t^-1])."""
 
-    def __init__(self, coeffs=()):
-        data = dict(coeffs)
-        self.coeffs = {k: v for k, v in data.items() if v}
+    coeffs = property(lambda self: self.terms, doc="The coefficient of each power of t.")
 
     @classmethod
     def constant(cls, c: int) -> "GroupRingElement":
         return cls({0: c})
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
+        out = dict(self.terms)
+        for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
         return GroupRingElement(out)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElement) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     def evaluate_at_one(self) -> int:
-        return sum(self.coeffs.values())
+        return sum(self.terms.values())
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
+        for k in sorted(self.terms):
+            c = self.terms[k]
             if k == 0:
                 parts.append(str(c))
             else:
@@ -106,8 +99,7 @@ def quiver(d: LinkDiagram, q: Quandle, s) -> Quiver:
 
 def _vertex_signature(qv: Quiver):
     n = qv.n_vertices
-    out_m = [[] for _ in range(n)]
-    in_m = [[] for _ in range(n)]
+    out_m, in_m = [[] for _ in range(n)], [[] for _ in range(n)]
     loops = [0] * n
     for (a, b), k in qv.multiplicity.items():
         out_m[a].append(k)
@@ -133,8 +125,7 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver,
     candidates = [[w for w in range(n) if sig2[w] == sig1[v]] for v in range(n)]
     order = sorted(range(n), key=lambda v: len(candidates[v]))
     m1, m2 = q1.multiplicity, q2.multiplicity
-    mapping = [-1] * n
-    used = [False] * n
+    mapping, used = [-1] * n, [False] * n
     budget = Budget("quiver")
 
     def extend(pos: int) -> bool:
@@ -145,20 +136,13 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver,
             if used[w]:
                 continue
             budget.spend()
-            ok = True
-            for prev in order[:pos]:
-                pw = mapping[prev]
-                if (m1.get((v, prev), 0) != m2.get((w, pw), 0)
-                        or m1.get((prev, v), 0) != m2.get((pw, w), 0)):
-                    ok = False
-                    break
-            if ok and m1.get((v, v), 0) == m2.get((w, w), 0):
-                mapping[v] = w
-                used[w] = True
+            if all(m1.get((v, p), 0) == m2.get((w, mapping[p]), 0)
+                   and m1.get((p, v), 0) == m2.get((mapping[p], w), 0)
+                   for p in order[:pos]) and m1.get((v, v), 0) == m2.get((w, w), 0):
+                mapping[v], used[w] = w, True
                 if extend(pos + 1):
                     return True
-                mapping[v] = -1
-                used[w] = False
+                mapping[v], used[w] = -1, False
         return False
 
     if not extend(0):
@@ -171,13 +155,10 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver,
 def quiver_dot(qv: Quiver) -> str:
     """Graphviz digraph with deterministic vertex and edge order."""
     lines = ["digraph quiver {"]
-    for i, label in enumerate(qv.labels):
-        text = "(" + ", ".join(map(str, label)) + ")"
-        lines.append(f'  v{i} [label="{text}"];')
-    for a, b in qv.edges:
-        lines.append(f"  v{a} -> v{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  v{i} [label="({", ".join(map(str, label))})"];'
+              for i, label in enumerate(qv.labels)]
+    lines += [f"  v{a} -> v{b};" for a, b in qv.edges]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def theta_weight(d: LinkDiagram, q: Quandle, phi: Cocycle2, coloring: Coloring) -> int:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 from quandles import (
     AxiomError,
+    CochainComplexSlice,
+    Coeff,
     Coloring,
     FiniteGroupTable,
     LinkDiagram,
@@ -13,6 +15,7 @@ from quandles import (
     linalg,
     parse_diagram,
 )
+from quandles.cohomology import _cohomology
 from quandles.limits import Budget
 from quandles.permutations import _cycles
 from quandles.solve import _watch_lists
@@ -269,6 +272,31 @@ def dense_relation_rows(q: Quandle, rho, n: int, basis):
             if any(row):
                 rows.add(tuple(row))
     return tuple(sorted(rows))
+
+
+def whole_slice_cohomology(q: Quandle, n: int, coeffs, rho=None):
+    """H^n over each of coeffs from one dense slice of the whole complex, every
+    face built by the face loop (inert ones included) and every relation row
+    by the dense builder, under the library's formula: cohomology before the
+    complex was split into blocks. Any degree n >= 2 is allowed."""
+    below, basis, above = (tuple(product_tuple_basis(q, k)) for k in (n - 1, n, n + 1))
+    sl = CochainComplexSlice(q, n, below, basis, above,
+                             face_loop_coboundary_rows(q, basis, below),
+                             face_loop_coboundary_rows(q, above, basis),
+                             None if rho is None else dense_relation_rows(q, rho, n, basis))
+    return [_cohomology(sl, Coeff.parse(coeff)) for coeff in coeffs]
+
+
+def disjoint_union(a: Quandle, b: Quandle) -> Quandle:
+    """a and b side by side, b's elements shifted past a's; an element of one
+    acts trivially on the other."""
+    m = a.m + b.m
+    table = [[x] * m for x in range(m)]
+    for x, y in product(range(a.m), repeat=2):
+        table[x][y] = a.table[x][y]
+    for x, y in product(range(b.m), repeat=2):
+        table[a.m + x][a.m + y] = a.m + b.table[x][y]
+    return Quandle(table)
 
 
 def reference_solve(n_vars: int, n: int, constraints, budget, order=None,

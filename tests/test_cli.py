@@ -65,6 +65,12 @@ def test_cohomology_output(capsys):
     assert out.strip() == "F2^1"
 
 
+def test_cohomology_degree_four_needs_a_trivial_column(capsys):
+    assert run(capsys, "cohomology", "P 7 (1 2 3)", "--degree", "4") == (0, "Z^750\n", "")
+    assert run(capsys, "cohomology", "R 4", "--degree", "4") == (
+        1, "", "error: degree 4 outside supported range 2..3\n")
+
+
 def test_show_and_json_agree(capsys):
     code, out, _ = run(capsys, "show", "T 2")
     assert code == 0 and out == "0 0\n1 1\n"
@@ -309,10 +315,13 @@ def test_group_table_answers_at_a_cap_of_its_cells(capsys, monkeypatch, argv, ce
     # c_2, c_3, c_4 = 12, 36, 108 non-degenerate tuples: delta_in and delta_out
     (("cohomology", "R 4", "--degree", "3"), "cochain", 36 * (12 + 108),
      "Z^2 (+) Z/2 (+) Z/2"),
+    # the blocks of P3 (1 2 3) by orbit word: 1,368 of the whole slice's
+    # 4,320 cells; the 156 tuples listed first are charged apart, and fewer
+    (("cohomology", "P 3 (1 2 3)", "--degree", "3"), "cochain", 1368, "Z^2"),
     # 7 homs, so 7^3 axiom checks of the Hom quandle; the hom search takes fewer
     (("homquandle", "P 2 (1 2)", "P 2 (1 2)"), "homquandle", 7**3,
      "Hom quandle of order 7"),
-], ids=["cohomology", "homquandle"])
+], ids=["cohomology", "homquandle", "cohomology-blocks"])
 def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, cells, head):
     monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cells))
     code, out, _ = run(capsys, *argv)
@@ -332,8 +341,12 @@ def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, 
      "primality search exceeded 10000000 nodes"),
     (("phi", HOPF, "P 2 (1 2)", "--theta", "100000"),
      "cochain size does not match the quandle"),
+    # a constructor's table charges its cells before it is built; int()
+    # reads the Arabic-Indic digits, so the second is P 33333
+    (("verify", "T 20000"), "table search exceeded 10000000 nodes"),
+    (("verify", "P 3\u0663\u0663\u0663\u0663"), "table search exceeded 10000000 nodes"),
 ], ids=["cohomology-R40-degree3", "homquandle-T3-T10", "modulus-400-nines",
-        "modulus-2^61-1", "phi-theta-100000"])
+        "modulus-2^61-1", "phi-theta-100000", "verify-T20000", "verify-P-arabic-digits"])
 def test_oversized_builds_stop_at_once(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
     start = time.perf_counter()

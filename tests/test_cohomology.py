@@ -5,11 +5,14 @@ import pytest
 
 from helpers import (
     dense_relation_rows,
+    disjoint_union,
     face_loop_coboundary_rows,
     product_tuple_basis,
     two_kernel_symmetric_cohomology_z,
+    whole_slice_cohomology,
 )
 from quandles import (
+    AbelianGroupSummary,
     Cocycle2,
     Coeff,
     boundary_matrix,
@@ -28,7 +31,7 @@ from quandles import (
     tuple_basis,
     two_cocycle_basis,
 )
-from quandles import linalg
+from quandles import cohomology, linalg
 
 P3 = p_quandle(2, parse_cycles("(1 2)", 2))
 
@@ -78,8 +81,11 @@ def test_boundary_bounds():
         boundary_matrix(P3, 5)
     with pytest.raises(ValueError):
         boundary_matrix(P3, 1)
-    with pytest.raises(ValueError):
-        cohomology_Q(P3, 4, "Z")
+    # degree 4 needs a trivial column, which P3 has and R4 lacks
+    with pytest.raises(ValueError, match="degree 5 outside supported range 2..4"):
+        cohomology_Q(P3, 5, "Z")
+    with pytest.raises(ValueError, match="degree 4 outside supported range 2..3"):
+        cohomology_Q(dihedral(4), 4, "Z")
 
 
 def test_h2_examples():
@@ -360,11 +366,78 @@ FREE_RANK_QUANDLES = {
 }
 
 
-@pytest.mark.parametrize("n", (2, 3))
-@pytest.mark.parametrize("name", FREE_RANK_QUANDLES)
+@pytest.mark.parametrize("name, n", [  # degree 4 for those with a trivial column
+    (name, n) for name in FREE_RANK_QUANDLES for n in (2, 3, 4) if n < 4 or name[0] != "R"])
 def test_free_rank_is_orbit_formula(name, n):
     # rank H^n_Q(X) = o(o-1)^(n-1) for o orbits (Etingof & Grana 2003;
     # Litherland & Nelson 2003)
     q = FREE_RANK_QUANDLES[name]
     o = _orbit_count(q)
     assert cohomology_Q(q, n, "Z").rank == o * (o - 1) ** (n - 1)
+
+
+BLOCK_ORACLE_QUANDLES = {
+    **{f"T{m}": trivial(m) for m in (1, 2, 3, 4, 5)},
+    **{f"R{m}": dihedral(m) for m in (3, 4, 5, 6)},
+    **{f"P{n} {format_cycles(sigma)}": p_quandle(n, sigma)
+       for n in (1, 2, 3, 4) for sigma in conjugacy_class_representatives(n)},
+}
+COEFFS = ("Z", "Q", "Z2", "Z3")
+
+
+@pytest.mark.parametrize("name", BLOCK_ORACLE_QUANDLES)
+def test_blocks_match_the_whole_slice(name):
+    # plain and symmetric H^2 and H^3, summed over the blocks, against one
+    # dense slice of the whole complex built by the face loop
+    q = BLOCK_ORACLE_QUANDLES[name]
+    for rho in [None] + [sym.rho for sym in good_involutions(q)]:
+        for n in (2, 3):
+            got = [cohomology_Q(q, n, coeff) if rho is None
+                   else symmetric_cohomology(q, rho, n, coeff) for coeff in COEFFS]
+            assert got == whole_slice_cohomology(q, n, COEFFS, rho), (rho, n)
+
+
+DEGREE_FOUR_QUANDLES = {
+    "T3": trivial(3),
+    **{f"P{n} {format_cycles(sigma)}": p_quandle(n, sigma)
+       for n in (1, 2, 3, 4) for sigma in conjugacy_class_representatives(n)},
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_FOUR_QUANDLES)
+def test_degree_four_matches_the_whole_complex(name):
+    q = DEGREE_FOUR_QUANDLES[name]
+    got = [cohomology_Q(q, 4, coeff) for coeff in COEFFS]
+    assert got == whole_slice_cohomology(q, 4, COEFFS)
+    # symmetric too, where the dense relation rows of the oracle stay small
+    for rho in [sym.rho for sym in good_involutions(q)] if q.m <= 4 else ():
+        got = [symmetric_cohomology(q, rho, 4, coeff) for coeff in ("Z", "Z2")]
+        assert got == whole_slice_cohomology(q, 4, ("Z", "Z2"), rho), rho
+
+
+def test_torsion_merges_across_blocks():
+    # R4 with one more element that acts, and is acted on, trivially: the
+    # tuples without it and those with it once are two blocks, each with
+    # four Z/2 in degree 4, and the whole complex has all eight
+    q = disjoint_union(dihedral(4), trivial(1))
+    coeff = Coeff("Z")
+    torsion = [part.torsion for part in (cohomology._cohomology(sl, coeff)
+               for sl in cohomology._blocks(q, 4, None, split=True)) if part.torsion]
+    assert torsion == [(2, 2, 2, 2)] * 2
+    got = cohomology_Q(q, 4, "Z")
+    assert [got] == whole_slice_cohomology(q, 4, ("Z",))
+    assert str(got) == "Z^24" + " (+) Z/2" * 8
+    # no block of the T, R and P quandles tried here has torsion of two primes,
+    # so the gcd/lcm merge of Z/2 and Z/3 from two blocks is checked directly
+    parts = iter([AbelianGroupSummary(coeff, 1, (2,)), AbelianGroupSummary(coeff, 0, (3,))])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohomology, "_cohomology",
+                   lambda sl, c: next(parts, AbelianGroupSummary(coeff, 0)))
+        assert str(cohomology_Q(P3, 2, "Z")) == "Z^1 (+) Z/6"
+
+
+@pytest.mark.parametrize("sigma, group", [("(1 2)(3 4)(5 6)", "Z^108"), ("(1 2 3)", "Z^750")])
+def test_degree_four_of_one_column_quandles(sigma, group):
+    # o(o-1)^3 with o = 4 and o = 6 orbits; their whole slices are far over the cap
+    n = 6 if group == "Z^108" else 7
+    assert str(cohomology_Q(p_quandle(n, parse_cycles(sigma, n)), 4, "Z")) == group
