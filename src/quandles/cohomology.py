@@ -227,9 +227,12 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
                          for x in q.elements if slot == 3 or x != t[-1]]
             for t, key in level:
                 groups.setdefault(key, ([], [], [], []))[slot].append(t)
-        blocks = [bases for bases in groups.values() if bases[1]]
         Budget("cochain", sum(len(b) * (len(lo) + len(hi) + n * len(ts))
-                              for lo, b, hi, ts in blocks))
+                              for lo, b, hi, ts in groups.values()))
+        # a block of n-tuples alone holds zero matrices; all such make one slice
+        lone = [t for lo, b, hi, ts in groups.values() if not (lo or hi or ts) for t in b]
+        blocks = [bs for bs in groups.values() if bs[1] and (bs[0] or bs[2] or bs[3])]
+        blocks += [[(), lone, (), ()]] if lone else []
     for bases in blocks:  # built by the public cochain_slice, so a trace of it sees each
         yield cochain_slice(q, n, rho, (columns, bases))
 

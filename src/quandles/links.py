@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .limits import Budget
+from .limits import DEFAULT_SEARCH_CAP, Budget
 from .permutations import _cycles
 from .quandle import Quandle
 from .solve import greedy_order, solve
@@ -259,6 +259,8 @@ def synthesize_link(g: LinkingGraph, edge_order=None) -> LinkDiagram:
 
     under_total = [sum(abs(g.weights[i][j]) for i, j in edge_order if comp in (i, j))
                    for comp in range(m)]
+    if sum(under_total) > DEFAULT_SEARCH_CAP:  # what the default cap allows is never refused
+        Budget("crossing", sum(under_total))  # a crossing per under event
 
     # a component's arcs follow the earlier ones'; one with no undercrossing is a free loop
     arc_base = list(accumulate((max(k, 1) for k in under_total), initial=0))

@@ -14,7 +14,7 @@ import math
 import re
 from functools import cached_property
 
-CENTRALIZER_BOUND = 8
+from .limits import Budget
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -46,11 +46,7 @@ class Permutation:
         return hash(self.image)
 
     def __repr__(self) -> str:
-        return f"Permutation.parse({format_cycles(self)!r}, n={self.n})"
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "Permutation":
-        return parse_cycles(text, n)
+        return f"parse_cycles({format_cycles(self)!r}, {self.n})"
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.image))
@@ -205,12 +201,12 @@ def all_permutations(n: int):
     return [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
 
 
-def centralizer(a: Permutation, bound: int = CENTRALIZER_BOUND):
-    """All g in S_n commuting with a, by exhaustive filtration of S_n."""
-    if a.n > bound:
-        raise ValueError(f"degree {a.n} exceeds centralizer enumeration bound {bound}")
-    return [g for g in all_permutations(a.n)
-            if compose(g, a) == compose(a, g)]
+def centralizer(a: Permutation):
+    """All g in S_n commuting with a, in lexicographic image order."""
+    n, image = a.n, a.image
+    Budget("centralizer", n * math.factorial(n))  # each point of each g, charged up front
+    return [Permutation(g) for g in itertools.permutations(range(1, n + 1))
+            if all(g[v - 1] == image[w - 1] for v, w in zip(image, g))]  # g(a(x)) = a(g(x))
 
 
 def conjugacy_class_representatives(n: int):

@@ -20,8 +20,6 @@ from .links import Coloring, LinkDiagram, colorings
 from .morphisms import QuandleMap
 from .quandle import Quandle
 
-MAX_QUIVER_VERTICES = 128
-
 
 class GroupRingElement(_Terms):
     """A finite integer combination of powers of t (element of Z[t, t^-1])."""
@@ -110,29 +108,32 @@ def _vertex_signature(qv: Quiver):
             for v in range(n)]
 
 
-def quiver_isomorphic(q1: Quiver, q2: Quiver,
-                      max_vertices: int = MAX_QUIVER_VERTICES) -> bool:
+def quiver_isomorphic(q1: Quiver, q2: Quiver, max_vertices: int | None = None) -> bool:
     """Exact search for a vertex bijection matching edge multiplicities; each
     candidate image tried is one node of a "quiver" Budget."""
     if q1.n_vertices != q2.n_vertices or len(q1.edges) != len(q2.edges):
         return False
     n = q1.n_vertices
-    if n > max_vertices:
+    if max_vertices is not None and n > max_vertices:
         raise ValueError(f"{n} vertices exceed the bound {max_vertices}")
     sig1, sig2 = _vertex_signature(q1), _vertex_signature(q2)
     if sorted(sig1) != sorted(sig2):
         return False
-    candidates = [[w for w in range(n) if sig2[w] == sig1[v]] for v in range(n)]
-    order = sorted(range(n), key=lambda v: len(candidates[v]))
+    candidates = {}  # the vertices of q2 of each signature, in order
+    for w, sig in enumerate(sig2):
+        candidates.setdefault(sig, []).append(w)
+    order = sorted(range(n), key=lambda v: len(candidates[sig1[v]]))
     m1, m2 = q1.multiplicity, q2.multiplicity
-    mapping, used = [-1] * n, [False] * n
+    mapping, used, tries = [-1] * n, [False] * n, [None] * n  # tries: candidates left
     budget = Budget("quiver")
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
+    pos = 0  # a depth-first search on an explicit stack, so no depth limit applies
+    while pos < n:
         v = order[pos]
-        for w in candidates[v]:
+        if mapping[v] < 0:
+            tries[pos] = iter(candidates[sig1[v]])
+        else:  # back from a dead end: free v's image and go on to its next candidate
+            used[mapping[v]], mapping[v] = False, -1
+        for w in tries[pos]:
             if used[w]:
                 continue
             budget.spend()
@@ -140,13 +141,10 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver,
                    and m1.get((p, v), 0) == m2.get((mapping[p], w), 0)
                    for p in order[:pos]) and m1.get((v, v), 0) == m2.get((w, w), 0):
                 mapping[v], used[w] = w, True
-                if extend(pos + 1):
-                    return True
-                mapping[v], used[w] = -1, False
-        return False
-
-    if not extend(0):
-        return False
+                break
+        pos += 1 if mapping[v] >= 0 else -1
+        if pos < 0:
+            return False
     # re-verify the induced edge bijection edge by edge
     assert Counter((mapping[a], mapping[b]) for a, b in q1.edges) == m2
     return True

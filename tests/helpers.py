@@ -11,7 +11,9 @@ from quandles import (
     FiniteGroupTable,
     LinkDiagram,
     Quandle,
+    all_permutations,
     cochain_slice,
+    compose,
     linalg,
     parse_diagram,
 )
@@ -172,6 +174,12 @@ def conjugation_quandle(perms):
 def symmetric_group_elements(n: int):
     """All image tuples of S_n acting on {0..n-1}, sorted."""
     return sorted(map(tuple, permutations(range(n))))
+
+
+def filtered_centralizer(a):
+    """Every g in S_n, from all_permutations, with compose(g, a) == compose(a, g):
+    the library's former n!-filter, kept as the oracle of its list and order."""
+    return [g for g in all_permutations(a.n) if compose(g, a) == compose(a, g)]
 
 
 def p_coloring_tuple_predicate(sigma, weights, combo):

@@ -345,8 +345,11 @@ def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, 
     # reads the Arabic-Indic digits, so the second is P 33333
     (("verify", "T 20000"), "table search exceeded 10000000 nodes"),
     (("verify", "P 3\u0663\u0663\u0663\u0663"), "table search exceeded 10000000 nodes"),
+    # a linking weight w is 2|w| crossings, charged before any is made
+    (("synth", str(FIXTURES / "linking_1e8.json")), "crossing search exceeded 10000000 nodes"),
 ], ids=["cohomology-R40-degree3", "homquandle-T3-T10", "modulus-400-nines",
-        "modulus-2^61-1", "phi-theta-100000", "verify-T20000", "verify-P-arabic-digits"])
+        "modulus-2^61-1", "phi-theta-100000", "verify-T20000", "verify-P-arabic-digits",
+        "synth-weight-10^8"])
 def test_oversized_builds_stop_at_once(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
     start = time.perf_counter()

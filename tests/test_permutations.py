@@ -1,13 +1,15 @@
 import math
 import random
 import re
+import time
 from itertools import permutations as iter_perms
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import set_walk_format
+from helpers import filtered_centralizer, set_walk_format
+from quandles.limits import SearchCapError
 from quandles.permutations import (
     Permutation,
     _format_image,
@@ -36,6 +38,7 @@ def test_parse_cycles_examples():
     assert P("", 3).image == (1, 2, 3)
     assert P("(1 2 3)", 3).image == (2, 3, 1)
     assert P("(1 2)(4 5)", 5).image == (2, 1, 3, 5, 4)
+    assert eval(repr(P("(1 2)(4 5)", 5))) == P("(1 2)(4 5)", 5)
 
 
 @pytest.mark.parametrize("bad", ["(1 2)(2 3)", "(1 4)", "(1 2", "1 2)", "(1 x)"])
@@ -126,9 +129,26 @@ def test_centralizer_order_formula():
             assert len(centralizer(a)) == expected
 
 
-def test_centralizer_bound():
-    with pytest.raises(ValueError):
-        centralizer(Permutation.identity(9))
+def test_centralizer_matches_the_filter_oracle_in_order():
+    # every class up to degree 7 and one of degree 8: same maps, same order
+    for a in [*(a for n in range(8) for a in conjugacy_class_representatives(n)),
+              P("(1 2 3)(4 5)", 8)]:
+        assert centralizer(a) == filtered_centralizer(a)
+
+
+def test_centralizer_bound(monkeypatch):
+    # the search cap is the only bound: n * n! point checks, charged up front
+    monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(SearchCapError, match="^centralizer search exceeded 10000000 nodes$"):
+        centralizer(Permutation.identity(10))
+    assert time.perf_counter() - start < 1
+    assert len(centralizer(P("(1 2)", 9))) == 2 * math.factorial(7)
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "18")  # 3 * 3!
+    assert len(centralizer(Permutation.identity(3))) == 6
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "17")
+    with pytest.raises(SearchCapError):
+        centralizer(Permutation.identity(3))
 
 
 def test_orbit_stabilizer_up_to_s6():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -142,6 +143,30 @@ def test_quiver_isomorphic_honours_the_search_cap(monkeypatch):
     with pytest.raises(SearchCapError, match="^quiver search exceeded 3 nodes$") as exc:
         quiver_isomorphic(qv, other)
     assert exc.value.budget.nodes == 4
+
+
+def test_quiver_isomorphic_runs_deeper_than_the_recursion_limit():
+    # four unlinked circles over T6 under a 6-cycle: 216 disjoint 6-cycles,
+    # one search level per vertex
+    t6 = trivial(6)
+    d = synthesize_link(LinkingGraph(((0,) * 4,) * 4))
+    qv = quiver(d, t6, [QuandleMap(t6, t6, (1, 2, 3, 4, 5, 0))])
+    assert qv.n_vertices == 1296 > sys.getrecursionlimit()
+    assert quiver_isomorphic(qv, qv)
+
+
+def test_quiver_isomorphic_has_no_default_vertex_bound():
+    # K6 with unit weights under all 7 endomorphisms of P3: 365 vertices, more
+    # than the former default bound of 128; one edge moved breaks the match
+    k6 = LinkingGraph(tuple(tuple(int(i != j) for j in range(6)) for i in range(6)))
+    qv = quiver(synthesize_link(k6), P3, endomorphisms(P3))
+    assert qv.n_vertices == 365
+    (a, b), rest = qv.edges[-1], qv.edges[:-1]
+    moved = Quiver(qv.vertices, qv.labels, rest + ((a, (b + 1) % qv.n_vertices),))
+    for other, same in ((qv, True), (moved, False)):
+        other = _renumbered(other, random.Random(1))
+        assert nx.is_isomorphic(_networkx(qv), _networkx(other)) == same
+        assert quiver_isomorphic(qv, other) == same
 
 
 def test_quiver_dot_golden_file():

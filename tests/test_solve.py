@@ -27,6 +27,7 @@ from quandles import (
     LinkingGraph,
     SearchCapError,
     all_permutations,
+    centralizer,
     conjugacy_class_representatives,
     cohomology_Q,
     colorings,
@@ -319,6 +320,7 @@ def test_cap_messages_name_the_search(monkeypatch):
         (10, lambda: hom_quandle(trivial(1), trivial(3)), "homquandle"),
         (0, lambda: cohomology_Q(dihedral(3), 2, "Z"), "cochain"),
         (0, lambda: Coeff.parse("Z5"), "primality"),
+        (17, lambda: centralizer(parse_cycles("(1 2)", 3)), "centralizer"),
     ]
     for cap, call, word in cases:
         monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cap))
@@ -328,7 +330,9 @@ def test_cap_messages_name_the_search(monkeypatch):
 
 
 def test_no_public_callable_takes_a_cap():
-    # QUANDLE_SEARCH_CAP is the one limit on work; no call can set its own
+    # QUANDLE_SEARCH_CAP is the one limit on work; no call can set its own cap
+    # or bound. The one exception is quiver_isomorphic's max_vertices, an
+    # optional extra bound with no default that acceptance criterion 11b passes
     found = []
     for info in pkgutil.iter_modules(quandles.__path__):
         if info.name.startswith("_"):
@@ -348,9 +352,9 @@ def test_no_public_callable_takes_a_cap():
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):  # not callable
             continue
-        if "cap" in params:
-            takes_cap.append(name)
-    assert takes_cap == []
+        takes_cap += [(name, p) for p in params if p == "cap" or "bound" in p
+                      or p.startswith("max_")]
+    assert takes_cap == [("quiver_isomorphic", "max_vertices")]
 
 
 def test_involution_budget_counts_each_involution(monkeypatch):
