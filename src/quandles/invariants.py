@@ -123,43 +123,40 @@ def _good_involution_defect(q: Quandle, rho):
 
 
 def _involutions(q: Quandle, budget: Budget):
-    """The involutions of {0..m-1}, in lex order, that fix or pair y only with
-    an element whose column is the inverse of y's column, as x*rho(y) =
-    bar(x, y) requires. Each involution built spends one node of the budget."""
+    """The involutions of {0..m-1}, in lex order, that fix or pair x only with
+    a y whose column is the inverse of x's column, as x*rho(y) = bar(x, y)
+    requires. Each involution built spends one node of the budget."""
     _, col_id, inv_id = q._columns
-    out = []
+    m, image, out = q.m, [-1] * q.m, []
+    partners = [[y for y in range(x, m) if col_id[y] == inv_id[x]] for x in range(m)]
 
-    def build(remaining, image):
-        if not remaining:
+    def build(x):  # pair the first unpaired point at or after x
+        while x < m and image[x] >= 0:
+            x += 1
+        if x == m:
             budget.spend()
             out.append(tuple(image))
             return
-        x = remaining[0]
-        for y in remaining:  # y = x first: the images come out in lex order
-            if col_id[y] == inv_id[x]:
+        for y in partners[x]:  # y = x first: the images come out in lex order
+            if image[y] < 0:
                 image[x], image[y] = y, x
-                build([z for z in remaining[1:] if z != y], image)
+                build(x + 1)
+                image[x] = image[y] = -1
 
-    build(list(q.elements), [0] * q.m)
+    build(0)
     return out
 
 
 def _good_involutions(q: Quandle):
-    """The good involutions of q as image tuples, in lex order: the
-    involutions that pair only mutually inverse columns, filtered by both
-    laws; an "involution" Budget counts the involutions built."""
+    """The good involutions of q as image tuples, in lex order; an "involution"
+    Budget counts the involutions built. They pair only mutually inverse columns,
+    so x*rho(y) = bar(x, y) holds; kept are those that commute with each column."""
+    cols = [col for col in q._columns[0] if col != tuple(q.elements)]
     return (rho for rho in _involutions(q, Budget("involution"))
-            if _good_involution_defect(q, rho) is None)
+            if all(tuple(map(rho.__getitem__, c)) == tuple(map(c.__getitem__, rho)) for c in cols))
 
 
 def good_involutions(q: Quandle):
-    """All good involutions of q: the involutions that pair only mutually
-    inverse columns, each checked once as a SymmetricQuandle; an "involution"
-    Budget counts the involutions built."""
-    found = []
-    for rho in _involutions(q, Budget("involution")):
-        try:
-            found.append(SymmetricQuandle(q, rho))
-        except ValueError:  # a law fails: rho is built as an involution
-            pass
-    return found
+    """All good involutions of q in lex order, each checked once for both laws
+    as a SymmetricQuandle; an "involution" Budget counts the involutions built."""
+    return [SymmetricQuandle(q, rho) for rho in _good_involutions(q)]

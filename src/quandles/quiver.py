@@ -124,6 +124,10 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver, max_vertices: int | None = None) -
         candidates.setdefault(sig, []).append(w)
     order = sorted(range(n), key=lambda v: len(candidates[sig1[v]]))
     m1, m2 = q1.multiplicity, q2.multiplicity
+    nbrs1, nbrs2 = [set() for _ in range(n)], [set() for _ in range(n)]
+    for mult, nbrs in ((m1, nbrs1), (m2, nbrs2)):
+        for a, b in mult:
+            nbrs[a].add(b), nbrs[b].add(a)
     mapping, used, tries = [-1] * n, [False] * n, [None] * n  # tries: candidates left
     budget = Budget("quiver")
     pos = 0  # a depth-first search on an explicit stack, so no depth limit applies
@@ -133,13 +137,15 @@ def quiver_isomorphic(q1: Quiver, q2: Quiver, max_vertices: int | None = None) -
             tries[pos] = iter(candidates[sig1[v]])
         else:  # back from a dead end: free v's image and go on to its next candidate
             used[mapping[v]], mapping[v] = False, -1
+        # w fits iff it matches v's placed neighbours and has no others (sig1 matched loops)
+        placed = [p for p in nbrs1[v] if mapping[p] >= 0]
         for w in tries[pos]:
             if used[w]:
                 continue
             budget.spend()
-            if all(m1.get((v, p), 0) == m2.get((w, mapping[p]), 0)
-                   and m1.get((p, v), 0) == m2.get((mapping[p], w), 0)
-                   for p in order[:pos]) and m1.get((v, v), 0) == m2.get((w, w), 0):
+            if len(placed) == sum(used[u] for u in nbrs2[w]) and all(
+                    m1.get((v, p), 0) == m2.get((w, mapping[p]), 0)
+                    and m1.get((p, v), 0) == m2.get((mapping[p], w), 0) for p in placed):
                 mapping[v], used[w] = w, True
                 break
         pos += 1 if mapping[v] >= 0 else -1

@@ -18,6 +18,7 @@ from quandles import (
     parse_diagram,
 )
 from quandles.cohomology import _cohomology
+from quandles.invariants import _good_involution_defect
 from quandles.limits import Budget
 from quandles.permutations import _cycles
 from quandles.solve import _watch_lists
@@ -111,6 +112,29 @@ def symmetric_quandle_error(q: Quandle, rho):
         return f"rho is not an involution at {bad}"
     defect = cell_law_defect(q, rho)
     return None if defect is None else "{} fails at ({},{})".format(*defect)
+
+
+def remaining_list_good_involutions(q: Quandle, budget: Budget):
+    """The good involutions of q in lex order, built by recursion over a list
+    of unpaired points that each level rebuilds: it pairs the least unpaired x
+    with each y of the inverse column in turn. Each involution built spends
+    one node of the budget and is then filtered by both laws."""
+    _, col_id, inv_id = q._columns
+    out = []
+
+    def build(remaining, image):
+        if not remaining:
+            budget.spend()
+            out.append(tuple(image))
+            return
+        x = remaining[0]
+        for y in remaining:  # y = x first: the images come out in lex order
+            if col_id[y] == inv_id[x]:
+                image[x], image[y] = y, x
+                build([z for z in remaining[1:] if z != y], image)
+
+    build(list(q.elements), [0] * q.m)
+    return [rho for rho in out if _good_involution_defect(q, rho) is None]
 
 
 def associativity_witness(table):

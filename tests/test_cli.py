@@ -204,6 +204,18 @@ def test_goodinv_honours_the_search_cap(capsys, monkeypatch):
     assert err == "error: involution search exceeded 1000 nodes\n"
 
 
+def test_goodinv_charges_involutions_built_not_kept(capsys, monkeypatch):
+    # P(3, (1 2)) builds 4 involutions and keeps 2: the cap counts all 4
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "4")
+    assert run(capsys, "goodinv", "P 3 (1 2)") == (0, "2 good involutions\n()\n(1 2)\n", "")
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "3")
+    assert run(capsys, "goodinv", "P 3 (1 2)") == (
+        1, "", "error: involution search exceeded 3 nodes\n")
+    monkeypatch.delenv("QUANDLE_SEARCH_CAP")
+    code, out, _ = run(capsys, "goodinv", "P 9 (1 2)")
+    assert code == 0 and out.startswith("464 good involutions\n")
+
+
 def test_quiver_endos_are_checked(capsys, tmp_path):
     endos_path = tmp_path / "endos.json"
     for images in ([[0, 1]], [[0, 1, 2, 3]], [[0, 1, 3]], [[0, 1, True]], [[0, 1, -1]],

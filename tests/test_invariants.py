@@ -1,8 +1,9 @@
+import random
 from itertools import permutations
 
 import pytest
 
-from helpers import cell_law_defect, symmetric_quandle_error
+from helpers import cell_law_defect, remaining_list_good_involutions, symmetric_quandle_error
 from quandles import (
     SymmetricQuandle,
     TwoVarPolynomial,
@@ -15,6 +16,7 @@ from quandles import (
     p_quandle,
     parse_cycles,
     quandle_polynomial,
+    relabel_quandle,
     trivial,
 )
 from quandles import invariants
@@ -163,8 +165,11 @@ def test_symmetric_quandle_names_the_failing_law():
 
 
 def test_good_involutions_check_each_involution_once(monkeypatch):
+    # P(3, (1 2)) builds 4 involutions and 2 of them commute with column 0; the
+    # law check runs once on each of those 2 as a SymmetricQuandle, and never on
+    # the 2 that the column filter rejects
     q = p_quandle(3, parse_cycles("(1 2)", 3))
-    built = invariants._involutions(q, Budget("involution"))
+    assert len(invariants._involutions(q, Budget("involution"))) == 4
     calls = []
     check = invariants._good_involution_defect
 
@@ -175,7 +180,34 @@ def test_good_involutions_check_each_involution_once(monkeypatch):
     monkeypatch.setattr(invariants, "_good_involution_defect", counted)
     found = good_involutions(q)
     assert [s.rho for s in found] == [(0, 1, 2, 3), (0, 2, 1, 3)]
-    assert calls == built and len(built) == 4
+    assert calls == [s.rho for s in found]
+
+
+def test_good_involutions_match_the_remaining_list_oracle(monkeypatch):
+    # T1-T8, R1-R12 and each P(n, sigma) class for n <= 6, and a seeded
+    # relabelling of each that moves element 0: the same involutions in the same
+    # order, for the same "involution" nodes
+    budgets = []
+
+    class Recording(Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(invariants, "Budget", Recording)
+    qs = [trivial(m) for m in range(1, 9)] + [dihedral(m) for m in range(1, 13)]
+    qs += [p_quandle(n, sigma) for n in range(1, 7)
+           for sigma in conjugacy_class_representatives(n)]
+    rng = random.Random(18)
+    for q in qs:
+        order = rng.sample(range(q.m), q.m)
+        if q.m > 1 and order[0] == 0:
+            order.reverse()
+        for copy in (q, relabel_quandle(q, order)):
+            oracle = Budget("involution")
+            expected = remaining_list_good_involutions(copy, oracle)
+            assert list(invariants._good_involutions(copy)) == expected, copy.table
+            assert budgets[-1].nodes == oracle.nodes
 
 
 def test_column_law_check_matches_the_cell_scan():

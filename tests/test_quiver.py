@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import networkx as nx
 import pytest
@@ -153,6 +154,22 @@ def test_quiver_isomorphic_runs_deeper_than_the_recursion_limit():
     qv = quiver(d, t6, [QuandleMap(t6, t6, (1, 2, 3, 4, 5, 0))])
     assert qv.n_vertices == 1296 > sys.getrecursionlimit()
     assert quiver_isomorphic(qv, qv)
+
+
+def test_quiver_isomorphic_node_costs_the_degree(monkeypatch):
+    # four unlinked circles over T6 under the 6-cycle and (0 0 1 2 3 4), against
+    # a renumbering of itself: a node checks only the placed neighbours of the
+    # vertex, so 10^5 nodes take well under a second, not O(n) checks each
+    t6 = trivial(6)
+    d = synthesize_link(LinkingGraph(((0,) * 4,) * 4))
+    endos = [QuandleMap(t6, t6, (1, 2, 3, 4, 5, 0)), QuandleMap(t6, t6, (0, 0, 1, 2, 3, 4))]
+    qv = quiver(d, t6, endos)
+    other = _renumbered(qv, random.Random(0))
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "100000")
+    start = time.perf_counter()
+    with pytest.raises(SearchCapError, match="^quiver search exceeded 100000 nodes$"):
+        quiver_isomorphic(qv, other)
+    assert qv.n_vertices == 1296 and time.perf_counter() - start < 5
 
 
 def test_quiver_isomorphic_has_no_default_vertex_bound():
