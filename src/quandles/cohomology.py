@@ -25,18 +25,19 @@ plus the factors > 1 of the Smith form of M. Over a field, its dimension is
 c_n - rk S - (rk delta_in - rk(R*delta_in)).
 
 The complex splits into blocks. Call y inert if its column is the identity.
-The two faces that delete an inert x_i cancel; every other face acts on the
-entries before x_i by a column, which keeps each inert entry inert and in its
-Inn-orbit. So a block is spanned by the tuples with one word of the orbits of
-their inert entries (of the pairs {O, rho(O)}, as a relation swaps x_i for
-rho(x_i)). H^n is the sum of the blocks' groups. A trivial column makes the
-blocks small, so degree 4 is allowed for a quandle that has one.
+Faces that cancel: the first entry (nothing is before it) and every inert
+entry. Every other face acts on the entries before x_i by a column, which
+keeps x_1 and each inert entry in its Inn-orbit. So a block is spanned by the
+tuples with one word of the orbits of x_1 and of the inert entries (of pairs
+{O, rho(O)}, as a relation swaps x_i for rho(x_i)). H^n is the sum of the
+blocks' groups; a trivial column makes them small, so it allows degree 4.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import linalg
@@ -102,23 +103,18 @@ def _columns(q: Quandle):
 
 
 def _letters(q: Quandle, inert, rho):
-    """Each element's letter of a block key: () unless it is inert, else the
-    least element of its Inn-orbit O, or of O and rho(O) when rho is given."""
+    """Each element's orbit, the least element of its Inn-orbit O or of O and
+    rho(O), and its letter of a block key: (orbit,) if it is inert, else ()."""
     least = [-1] * q.m
-    for start in itertools.compress(q.elements, inert):
+    for start in q.elements:
         pending = [] if least[start] >= 0 else [start]
         while pending:
             for z in q.table[pending.pop()]:  # x*y for every y
                 if least[z] < 0:
                     least[z] = start
                     pending.append(z)
-    return [(min(least[x], least[r]),) if inert[x] else ()
-            for x, r in zip(q.elements, rho or q.elements)]
-
-
-def _size(q: Quandle, n: int) -> int:
-    """len(tuple_basis(q, n)) for n >= 1, without building it."""
-    return q.m * (q.m - 1) ** (n - 1)
+    orbit = [min(least[x], least[r]) for x, r in zip(q.elements, rho or q.elements)]
+    return orbit, [(o,) if i else () for o, i in zip(orbit, inert)]
 
 
 def boundary_matrix(q: Quandle, n: int):
@@ -131,7 +127,7 @@ def boundary_matrix(q: Quandle, n: int):
     """
     if not 2 <= n <= 4:
         raise ValueError(f"degree {n} outside supported range 2..4")
-    Budget("cochain", _size(q, n) * _size(q, n - 1))
+    Budget("cochain", q.m**2 * (q.m - 1) ** (2 * n - 3))  # c_n * c_(n-1), c_k = m(m-1)^(k-1)
     lower = tuple_basis(q, n - 1)
     rows = _coboundary_rows(_columns(q), tuple_basis(q, n), lower)
     return [[row[i] for row in rows] for i in range(len(lower))]
@@ -140,12 +136,12 @@ def boundary_matrix(q: Quandle, n: int):
 def _coboundary_rows(columns, basis, lower):
     """One dense row per tuple t of basis: the boundary of t (module docstring)
     on the lower basis, where the degenerate faces are absent and so vanish,
-    and the two faces that delete an inert entry cancel, so they are skipped."""
+    and the two faces that delete the first or an inert entry cancel: skipped."""
     (cols, inert), index = columns, {t: i for i, t in enumerate(lower)}
     rows = []
     for t in basis:
         row = [0] * len(lower)
-        for i, y in enumerate(t):  # face i + 1, whose sign is (-1)^(i+1)
+        for i, y in enumerate(t[1:], 1):  # face i + 1, whose sign is (-1)^(i+1)
             if inert[y]:
                 continue
             head, tail, sign = t[:i], t[i + 1:], i % 2 * 2 - 1
@@ -202,36 +198,37 @@ class CochainComplexSlice:
 
 def _blocks(q: Quandle, n: int, rho, split: bool):
     """The slices of the degree-n blocks that hold an n-tuple (module
-    docstring), or the whole slice if not split or nothing is inert. The
-    degree is 2..3, or 2..4 with a trivial column. The whole slice's dense
-    cells, n relation rows for each n-tuple among them, are nodes of a Budget
-    charged before any is built; to split, the tuples to list are charged
-    instead, and then the blocks' cells before any row is built."""
+    docstring), or the whole slice if not split or q is one block. The degree
+    is 2..3, or 2..4 with a trivial column. Budgets are charged before what
+    they count is built: with nothing inert, the blocks' dense cells, as a
+    block of first entries P holds |P|(m-1)^(k-1) k-tuples and |P|m^(n-1)
+    relation n-tuples (n rows each); else the tuples to list, then the cells."""
     columns = _columns(q)
     top = 4 if any(columns[1]) else 3
     if not 2 <= n <= top:
         raise ValueError(f"degree {n} outside supported range 2..{top}")
-    letters = _letters(q, columns[1], rho) if split else [()] * q.m
-    sizes, tuples = [_size(q, k) for k in (n - 1, n, n + 1)], 0 if rho is None else q.m**n
-    if not any(letters):
-        Budget("cochain", sizes[1] * (sizes[0] + sizes[2] + n * tuples))
-        relation_tuples = itertools.product(q.elements, repeat=n) if tuples else ()
-        blocks = [[tuple_basis(q, k) for k in (n - 1, n, n + 1)] + [relation_tuples]]
-    else:
+    orbit, letters = _letters(q, columns[1], rho) if split else ([0] * q.m, [()] * q.m)
+    sizes = [q.m * (q.m - 1) ** (k - 1) for k in (n - 1, n, n + 1)]  # c_k, as tuple_basis
+    tuples = 0 if rho is None else q.m**n
+    if any(letters):
         Budget("cochain", sum(sizes) + tuples)
-        groups = {}
-        for slot, k in enumerate((n - 1, n, n + 1) + ((n,) if tuples else ())):
-            level = [((x,), letters[x]) for x in q.elements]  # (tuple, key) pairs
-            for _ in range(k - 1):  # the fourth slot lists every n-tuple for rho
-                level = [(t + (x,), key + letters[x]) for t, key in level
-                         for x in q.elements if slot == 3 or x != t[-1]]
-            for t, key in level:
-                groups.setdefault(key, ([], [], [], []))[slot].append(t)
-        Budget("cochain", sum(len(b) * (len(lo) + len(hi) + n * len(ts))
-                              for lo, b, hi, ts in groups.values()))
-        # a block of n-tuples alone holds zero matrices; all such make one slice
-        lone = [t for lo, b, hi, ts in groups.values() if not (lo or hi or ts) for t in b]
-        blocks = [bs for bs in groups.values() if bs[1] and (bs[0] or bs[2] or bs[3])]
+    else:  # a block holds |P|/m of each basis, so (|P|/m)^2 of the whole slice's cells
+        whole = sizes[1] * (sizes[0] + sizes[2] + n * tuples)
+        Budget("cochain", whole * sum(p * p for p in Counter(orbit).values()) // q.m**2)
+    groups = {}
+    for slot, k in enumerate((n - 1, n, n + 1) + ((n,) if tuples else ())):
+        level = [((x,), (orbit[x],)) for x in q.elements]  # (tuple, key) pairs
+        for _ in range(k - 1):  # the fourth slot lists every n-tuple for rho
+            level = [(t + (x,), key + letters[x]) for t, key in level
+                     for x in q.elements if slot == 3 or x != t[-1]]
+        for t, key in level:
+            groups.setdefault(key, ([], [], [], []))[slot].append(t)
+    Budget("cochain", sum(len(b) * (len(lo) + len(hi) + n * len(ts))
+                          for lo, b, hi, ts in groups.values()))
+    blocks = list(groups.values()) or [((), (), (), ())]  # one block is the whole slice
+    if len(blocks) > 1:  # blocks of n-tuples alone hold zero matrices: they make one slice
+        lone = [t for lo, b, hi, ts in blocks if not (lo or hi or ts) for t in b]
+        blocks = [bs for bs in blocks if bs[1] and (bs[0] or bs[2] or bs[3])]
         blocks += [[(), lone, (), ()]] if lone else []
     for bases in blocks:  # built by the public cochain_slice, so a trace of it sees each
         yield cochain_slice(q, n, rho, (columns, bases))

@@ -85,7 +85,8 @@ def integer_kernel_basis(a, cols: int | None = None):
 
 def smith_normal_form(a):
     """Nonzero invariant factors of an integer matrix, in divisibility order."""
-    pivots, core = _eliminate(a)
+    # a tall matrix is eliminated by its columns, as SNF(a^T) = SNF(a)^T
+    pivots, core = _eliminate(zip(*a) if a and len(a) > len(a[0]) else a)
     core_cols = sorted({c for r in core for c in r})
     m = [[r.get(c, 0) for c in core_cols] for r in core]
     # row and column echelon forms in turn until diagonal; each round lowers
@@ -136,24 +137,26 @@ def _eliminate(a):
         if not unit_cols:
             continue  # re-queued if another pivot changes it
         j = min(unit_cols, key=lambda c: len(holders[c]))
-        for k in holders[j] - {i}:
+        del rows[i]
+        for c in r:
+            holders[c].discard(i)
+        rest = [(c, v) for c, v in r.items() if c != j]
+        for k in holders.pop(j):
             other = rows[k]
-            f = other[j] * r[j]
-            for c, v in r.items():
+            f = other.pop(j) * r[j]
+            for c, v in rest:  # holders change only where an entry appears or vanishes
                 w = other.get(c, 0) - f * v
-                if w:
-                    other[c] = w
-                    holders[c].add(k)
-                else:
+                if not w:
                     del other[c]
                     holders[c].discard(k)
+                    continue
+                if c not in other:
+                    holders[c].add(k)
+                other[c] = w
             if other:
                 heappush(heap, (len(other), k))
             else:
                 del rows[k]
-        for c in r:
-            holders[c].discard(i)
-        del rows[i]
         pivots.append((j, r))
     return pivots, list(rows.values())
 

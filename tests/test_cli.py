@@ -324,16 +324,21 @@ def test_group_table_answers_at_a_cap_of_its_cells(capsys, monkeypatch, argv, ce
 
 
 @pytest.mark.parametrize("argv, what, cells, head", [
-    # c_2, c_3, c_4 = 12, 36, 108 non-degenerate tuples: delta_in and delta_out
-    (("cohomology", "R 4", "--degree", "3"), "cochain", 36 * (12 + 108),
+    # R4 splits at the first entry's orbit, {0, 2} or {1, 3}; each block has
+    # 2 * 3^(k-1) non-degenerate k-tuples, 6, 18 and 54 for k = 2, 3, 4, so
+    # its delta_in and delta_out hold 18 * (6 + 54) cells: half of the
+    # whole slice's 36 * (12 + 108) = 4,320
+    (("cohomology", "R 4", "--degree", "3"), "cochain", 2 * 18 * (6 + 54),
      "Z^2 (+) Z/2 (+) Z/2"),
-    # the blocks of P3 (1 2 3) by orbit word: 1,368 of the whole slice's
-    # 4,320 cells; the 156 tuples listed first are charged apart, and fewer
-    (("cohomology", "P 3 (1 2 3)", "--degree", "3"), "cochain", 1368, "Z^2"),
+    # the blocks of P3 (1 2 3) by the orbit of the first entry and the orbit
+    # word of the inert entries: four with faces, of 9 + 225 + 90 + 576 = 900
+    # of the whole slice's 4,320 cells; the 156 tuples listed first are
+    # charged apart, and fewer
+    (("cohomology", "P 3 (1 2 3)", "--degree", "3"), "cochain", 900, "Z^2"),
     # 7 homs, so 7^3 axiom checks of the Hom quandle; the hom search takes fewer
     (("homquandle", "P 2 (1 2)", "P 2 (1 2)"), "homquandle", 7**3,
      "Hom quandle of order 7"),
-], ids=["cohomology", "homquandle", "cohomology-blocks"])
+], ids=["cohomology", "cohomology-blocks", "homquandle"])
 def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, cells, head):
     monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cells))
     code, out, _ = run(capsys, *argv)

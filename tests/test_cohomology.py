@@ -1,5 +1,5 @@
 from dataclasses import replace
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
@@ -340,22 +340,25 @@ def test_summary_strings():
     assert str(cohomology_Q(P3, 2, "Z2")) == "F2^2"
 
 
-def _orbit_count(q):
-    """Orbits of the inner group: classes of x ~ x*y."""
-    seen, count = set(), 0
+def _orbits(q):
+    """Each element's orbit of the inner group, as a frozenset: its class
+    under x ~ x*y."""
+    orbit = {}
     for start in q.elements:
-        if start in seen:
+        if start in orbit:
             continue
-        count += 1
-        seen.add(start)
-        pending = [start]
+        seen, pending = {start}, [start]
         while pending:
-            x = pending.pop()
-            for z in q.table[x]:
+            for z in q.table[pending.pop()]:
                 if z not in seen:
                     seen.add(z)
                     pending.append(z)
-    return count
+        orbit.update(dict.fromkeys(seen, frozenset(seen)))
+    return [orbit[x] for x in q.elements]
+
+
+def _orbit_count(q):
+    return len(set(_orbits(q)))
 
 
 FREE_RANK_QUANDLES = {
@@ -376,9 +379,31 @@ def test_free_rank_is_orbit_formula(name, n):
     assert cohomology_Q(q, n, "Z").rank == o * (o - 1) ** (n - 1)
 
 
+# R4 + R3 has no trivial column and three orbits of sizes 2, 2 and 3
+ORBIT_SPLIT_QUANDLES = {
+    **{f"R{m}": dihedral(m) for m in (4, 6, 8)},
+    "R4+R3": disjoint_union(dihedral(4), dihedral(3)),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_SPLIT_QUANDLES)
+def test_coboundaries_keep_the_orbit_of_the_first_entry(name):
+    # the two faces that delete x_1 cancel, and every other face acts on x_1
+    # by a column, so no entry of the whole slice joins two orbits of x_1
+    q = ORBIT_SPLIT_QUANDLES[name]
+    orbit = _orbits(q)
+    for n in (2, 3):
+        sl = cochain_slice(q, n)
+        for delta, rows, cols in ((sl.delta_in, sl.basis, sl.basis_below),
+                                  (sl.delta_out, sl.basis_above, sl.basis)):
+            for t, row in zip(rows, delta):
+                assert all(orbit[s[0]] == orbit[t[0]] for s in compress(cols, row)), t
+
+
 BLOCK_ORACLE_QUANDLES = {
     **{f"T{m}": trivial(m) for m in (1, 2, 3, 4, 5)},
-    **{f"R{m}": dihedral(m) for m in (3, 4, 5, 6)},
+    **{f"R{m}": dihedral(m) for m in (3, 4, 5, 6, 8)},
+    "R4+R3": ORBIT_SPLIT_QUANDLES["R4+R3"],
     **{f"P{n} {format_cycles(sigma)}": p_quandle(n, sigma)
        for n in (1, 2, 3, 4) for sigma in conjugacy_class_representatives(n)},
 }
@@ -416,14 +441,15 @@ def test_degree_four_matches_the_whole_complex(name):
 
 
 def test_torsion_merges_across_blocks():
-    # R4 with one more element that acts, and is acted on, trivially: the
-    # tuples without it and those with it once are two blocks, each with
-    # four Z/2 in degree 4, and the whole complex has all eight
+    # R4 with one more element 4 that acts, and is acted on, trivially. The
+    # blocks with torsion in degree 4: x_1 in either orbit of R4, with no 4
+    # (two Z/2) or with 4 once (one Z/2), and x_1 = 4 (two Z/2); the whole
+    # complex has all eight
     q = disjoint_union(dihedral(4), trivial(1))
     coeff = Coeff("Z")
     torsion = [part.torsion for part in (cohomology._cohomology(sl, coeff)
                for sl in cohomology._blocks(q, 4, None, split=True)) if part.torsion]
-    assert torsion == [(2, 2, 2, 2)] * 2
+    assert torsion == [(2, 2), (2,), (2, 2), (2,), (2, 2)]
     got = cohomology_Q(q, 4, "Z")
     assert [got] == whole_slice_cohomology(q, 4, ("Z",))
     assert str(got) == "Z^24" + " (+) Z/2" * 8

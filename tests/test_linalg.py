@@ -110,6 +110,18 @@ def test_smith_normal_form_and_rank_match_sympy(pool):
             assert rank(a, p) == sympy_rank(a, p)
 
 
+def test_tall_matrices_give_the_factors_of_their_transpose():
+    # a tall matrix is eliminated by its columns, as SNF(a^T) = SNF(a)^T
+    rng = random.Random(19)
+    for pool in POOLS:
+        for _ in range(15):
+            a = random_matrix(rng, rng.randint(6, 40), rng.randint(1, 5), pool)
+            assert smith_normal_form(a) == smith_normal_form(transpose(a)) == sympy_factors(a)
+    for a in ([[]], [[], []]):  # rows of width 0: taller than wide, and no columns
+        assert smith_normal_form(a) == smith_normal_form(transpose(a)) == []
+        assert rank(a) == rank(a, 2) == 0
+
+
 @pytest.mark.parametrize("q", [dihedral(4), dihedral(5),
                                p_quandle(4, parse_cycles("(1 2 3 4)", 4)), trivial(4),
                                p_quandle(4, parse_cycles("(1 2)(3 4)", 4))])
