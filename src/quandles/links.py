@@ -12,8 +12,9 @@ free loops "O <arc>", comments "#".
 Colorings are one solver problem (see solve.py) with a constraint per
 crossing. The crossing rule propagates forward (under_in and over give
 under_out) and backward (under_out and over give under_in, since quandle
-columns are bijections). The search branches first on the arcs whose colors
-determine the most other arcs.
+columns are bijections); over a latin quandle under_in and under_out also
+give over. The search branches first on the arcs whose colors determine the
+most other arcs.
 """
 
 from __future__ import annotations
@@ -95,11 +96,8 @@ class LinkDiagram:
 
     @cached_property
     def component_of(self) -> tuple:
-        owner = [0] * self.n_arcs
-        for i, comp in enumerate(self.components):
-            for a in comp:
-                owner[a] = i
-        return tuple(owner)
+        owner = {a: i for i, comp in enumerate(self.components) for a in comp}
+        return tuple(map(owner.__getitem__, range(self.n_arcs)))
 
     @property
     def n_components(self) -> int:
@@ -271,18 +269,12 @@ def synthesize_link(g: LinkingGraph, edge_order=None) -> LinkDiagram:
     def current_arc(comp: int) -> int:
         return arc_base[comp] + (consumed[comp] % under_total[comp])
 
-    def go_under(comp: int) -> tuple:
-        a_in = current_arc(comp)
-        consumed[comp] += 1
-        return a_in, current_arc(comp)
-
     crossings = []
     for i, j in edge_order:
         w = g.weights[i][j]
-        sign = 1 if w > 0 else -1
         for step in range(2 * abs(w)):
-            under_comp, over_comp = (i, j) if step % 2 == 0 else (j, i)
-            over_arc = current_arc(over_comp)
-            a_in, a_out = go_under(under_comp)
-            crossings.append(Crossing(a_in, over_arc, a_out, sign))
+            under, over = (i, j) if step % 2 == 0 else (j, i)
+            a_in, over_arc = current_arc(under), current_arc(over)
+            consumed[under] += 1  # under goes under over, onto its next arc
+            crossings.append(Crossing(a_in, over_arc, current_arc(under), 1 if w > 0 else -1))
     return LinkDiagram(crossings, free)

@@ -1,8 +1,9 @@
 """Quandle homomorphisms: enumeration, Aut/Inn groups, isomorphism, Hom quandles.
 
 The hom search is one solver problem (see solve.py): a constraint
-f(a*b) = f(a)*f(b) for each pair a != b, propagated forward through Y's table
-and backward through its inverse columns. It branches on f(0), f(1), ... in
+f(a*g) = f(a)*f(g) for each a != g, g in a generating set of X, propagated
+forward through Y's table and backward through its inverse columns (and into
+a latin Y, from f(a) and f(a*g) to f(g)). It branches on f(0), f(1), ... in
 that order, trying images in increasing order, so the returned lists are
 complete and lexicographically sorted by image tuple, and the isomorphism
 found first is the lexicographically first one.
@@ -68,24 +69,12 @@ class FiniteGroupTable:
             if self.identity not in t[x]:
                 raise ValueError(f"element {x} has no inverse")
         # Light's test: the b with (ab)c = a(bc) for all a, c are closed under
-        # the product, so b runs over generators only: each element that right
-        # products of the earlier ones have not reached; the identity passes
-        gens, reached = [], {self.identity}
-        for b in range(n):
-            if b in reached:
-                continue
-            if any(t[t[a][b]] != tuple(map(t[a].__getitem__, t[b])) for a in range(n)):
-                a, b, c = next((a, b, c) for a, b, c in product(range(n), repeat=3)
-                               if t[t[a][b]][c] != t[a][t[b][c]])
-                raise ValueError(f"associativity fails at ({a},{b},{c})")
-            gens.append(b)
-            pending = [b, *reached]
-            reached.add(b)
-            while pending:
-                for y in map(t[pending.pop()].__getitem__, gens):
-                    if y not in reached:
-                        reached.add(y)
-                        pending.append(y)
+        # the product, so b runs over generators only; the identity passes
+        if any(t[t[a][b]] != tuple(map(t[a].__getitem__, t[b]))
+               for b in _generators(t, [self.identity]) for a in range(n)):
+            a, b, c = next((a, b, c) for a, b, c in product(range(n), repeat=3)
+                           if t[t[a][b]][c] != t[a][t[b][c]])
+            raise ValueError(f"associativity fails at ({a},{b},{c})")
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -105,13 +94,34 @@ class FiniteGroupTable:
                    for a in range(self.order) for b in range(self.order))
 
 
+def _generators(table, start=()) -> list:
+    """Generators of the closure of start under right products x -> table[x][g],
+    taken greedily: each is the least index outside the closure of start and
+    the earlier ones. Each reached index is multiplied by each generator once.
+    Over a finite quandle the closure of a set is the subquandle it generates."""
+    gens, reached, inside = [], list(start), [i in start for i in range(len(table))]
+    for g in range(len(table)):
+        if not inside[g]:
+            gens.append(g)
+            pending = [g, *(table[x][g] for x in reached)]
+            for y in pending:  # grows while walked
+                if not inside[y]:
+                    inside[y] = True
+                    reached.append(y)
+                    pending += (table[y][h] for h in gens)
+    return gens
+
+
 def _search(x: Quandle, y: Quandle, bijective: bool = False):
-    """An iterator over the image tuples of the homs X -> Y in lex order, through
-    one solver constraint f(a*b) = f(a)*f(b) per pair a != b, branching on
-    f(0), f(1), ...; the search advances only as the iterator is read."""
+    """An iterator over the image tuples of the homs X -> Y in lex order,
+    branching on f(0), f(1), ...; the search advances only as the iterator is
+    read. One solver constraint f(a*g) = f(a)*f(g) per a != g, g a generator,
+    gives every pair's: the b with f(a*b) = f(a)*f(b) for all a are closed
+    under *, as a*(c*g) = ((a/g)*c)*g. The branch variables are the generators,
+    so the node counts are those of one constraint per pair a != b."""
     sx, ty, by = x.table, y.table, y.bar_table
-    constraints = [(a, b, sx[a][b], ty, by)
-                   for a in range(x.m) for b in range(x.m) if a != b]
+    constraints = [(a, g, sx[a][g], ty, by)
+                   for g in _generators(sx) for a in range(x.m) if a != g]
     return solve(x.m, y.m, constraints, Budget("hom"), distinct=bijective)
 
 

@@ -156,10 +156,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 
 
 def inverse(a: Permutation) -> Permutation:
-    image = [0] * a.n
-    for i, v in enumerate(a.image):
-        image[v - 1] = i + 1
-    return Permutation(image)
+    return Permutation(i + 1 for i in sorted(range(a.n), key=a.image.__getitem__))
 
 
 def order(a: Permutation) -> int:

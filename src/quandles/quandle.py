@@ -37,13 +37,10 @@ class Quandle:
 
     @cached_property
     def bar_table(self) -> tuple:
-        """The inverse columns: bar_table[x][y] = bar(x, y)."""
-        m = len(self.table)
-        bar = [[0] * m for _ in range(m)]
-        for z in range(m):
-            for y in range(m):
-                bar[self.table[z][y]][y] = z
-        return tuple(tuple(row) for row in bar)
+        """The inverse columns: bar_table[x][y] = bar(x, y). Sorting the points
+        by their images under a column lists its inverse."""
+        return tuple(zip(*(sorted(self.elements, key=col.__getitem__)
+                           for col in zip(*self.table))))
 
     def bar(self, x: int, y: int) -> int:
         """The unique z with z*y = x."""
@@ -160,9 +157,4 @@ def p_quandle(n: int, sigma: Permutation) -> Quandle:
     """
     if sigma.n != n:
         raise ValueError(f"permutation degree {sigma.n} != n = {n}")
-    table = []
-    for x in range(n + 1):
-        row = [x] * (n + 1)
-        row[0] = sigma(x) if x else 0
-        table.append(row)
-    return Quandle(table)
+    return Quandle([[sigma(x)] + [x] * n if x else [0] * (n + 1) for x in range(n + 1)])

@@ -31,9 +31,8 @@ class GroupRingElement(_Terms):
         return cls({0: c})
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
+        out = Counter(self.terms)
+        out.update(other.terms)  # adds, keeping negative sums, unlike Counter's +
         return GroupRingElement(out)
 
     def evaluate_at_one(self) -> int:

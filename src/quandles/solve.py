@@ -3,13 +3,14 @@
 Variables take values in range(n). A constraint (x, y, z, T, B) means
 z = T[x][y]; the columns of T are bijections and B holds their inverses, so it
 also means x = B[z][y]. Once y is known it propagates forward to z and
-backward to x. The search branches on the first unassigned variable of a
-given order and tries values in increasing order, so with the order
-range(n_vars) solutions come out in lexicographic order. Every value tried
-at a branch spends one node of a Budget. The last unknown is not propagated
-(unless values must differ or it sits at a kink): the values that pass are
-the AND of one bitmask per watch entry on it (forward checking, Haralick &
-Elliott 1980), each still spending its node, so node counts are unchanged.
+backward to x; if the rows of T are bijections too (T is latin), x and z fix
+y. The search branches on the first unassigned variable of a given order and
+tries values in increasing order, so with the order range(n_vars) solutions
+come out in lexicographic order. Every value tried at a branch spends one node
+of a Budget. The last unknown is not propagated (unless values must differ or
+it sits at a kink): the values that pass are the AND of one bitmask per watch
+entry on it (forward checking, Haralick & Elliott 1980), each still spending
+its node, so node counts are unchanged.
 """
 
 from __future__ import annotations
@@ -20,9 +21,13 @@ from .limits import Budget
 def _watch_lists(n_vars: int, constraints):
     """For each variable w, entries (u, target, table): once w and u are known,
     target = table[value of w][value of u]. One entry per direction a
-    constraint propagates in (four, or two when x and z are one variable)."""
+    constraint propagates in: four, or two when x and z are one variable, and
+    two more when the rows of T are bijections too (T is latin), as x and z
+    then fix y through the left division L, L[x][T[x][y]] = y."""
     tables = {id(t): t for con in constraints for t in con[3:]}
-    cols = {key: tuple(zip(*t)) for key, t in tables.items()}
+    left = {key: tuple(tuple(sorted(range(len(row)), key=row.__getitem__)) for row in t)
+            for key, t in tables.items() if all(len(set(row)) == len(row) for row in t)}
+    cols = {id(t): tuple(zip(*t)) for t in (*tables.values(), *left.values())}
     watch = [[] for _ in range(n_vars)]
     for x, y, z, t, b in constraints:
         watch[x].append((y, z, t))
@@ -30,6 +35,9 @@ def _watch_lists(n_vars: int, constraints):
         if z != x:
             watch[z].append((y, x, b))
             watch[y].append((z, x, cols[id(b)]))
+            if (div := left.get(id(t))) is not None:
+                watch[x].append((z, y, div))
+                watch[z].append((x, y, cols[id(div)]))
     return watch
 
 

@@ -37,6 +37,7 @@ from quandles import (
     homs,
     inner_group,
     is_isomorphic,
+    orbits,
     p_quandle,
     parse_cycles,
     parse_diagram,
@@ -52,6 +53,8 @@ ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
 
 CONSTRUCTORS = (
     lambda: trivial(2), lambda: trivial(3), lambda: dihedral(3), lambda: dihedral(4),
+    # latin, and unlike R3 (Aut(R3) = S3) not every relabelling is itself
+    lambda: dihedral(5),
     lambda: p_quandle(2, parse_cycles("(1 2)", 2)),
     lambda: p_quandle(3, parse_cycles("(1 2 3)", 3)),
     lambda: p_quandle(3, parse_cycles("(1 2)", 3)),
@@ -185,6 +188,47 @@ def test_hom_search_matches_the_reference_solver(x):
             assert_solves_like_the_reference(_hom_problem(x, y), distinct, sweep)
 
 
+def _subquandle(q, elements):
+    """The closure of elements under *, by brute force."""
+    found = set(elements)
+    while new := {q.table[a][b] for a in found for b in found} - found:
+        found |= new
+    return found
+
+
+@pytest.mark.parametrize("x", ORACLE_QUANDLES, ids=ORACLE_NAMES)
+def test_hom_search_on_generators_matches_all_pairs(x, monkeypatch):
+    # one constraint per a != g for g in a generating set: the same answers in
+    # the same order as one per pair a != b, with the same node count at each
+    # answer and at the end
+    made = _recorded_budgets(monkeypatch, "quandles.morphisms.Budget")
+    for y in ORACLE_QUANDLES:
+        for distinct in (False, True):
+            answers, nodes_at = [], []
+            for image in morphisms._search(x, y, bijective=distinct):
+                answers.append(image)
+                nodes_at.append(made[-1].nodes)
+            assert (answers, nodes_at, made[-1].nodes, False) == _run(
+                solve, _hom_problem(x, y), distinct)
+
+
+def test_generators_are_taken_greedily():
+    # each generator is the least element outside the subquandle that the
+    # earlier ones generate, and together they generate the quandle
+    odd = [dihedral(m) for m in range(3, 16, 2)]
+    for q in ORACLE_QUANDLES + odd:
+        gens = morphisms._generators(q.table)
+        for i, g in enumerate(gens):
+            assert g == min(set(q.elements) - _subquandle(q, gens[:i]))
+        assert _subquandle(q, gens) == set(q.elements)
+    assert all(morphisms._generators(q.table) == [0, 1] for q in odd)
+    for m in range(1, 6):
+        assert morphisms._generators(trivial(m).table) == list(range(m))
+    for n in range(1, 5):
+        for s in all_permutations(n):  # 0 and one point per cycle of σ, fixed points included
+            assert len(morphisms._generators(p_quandle(n, s).table)) == 1 + len(orbits(s))
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lnk")))
 def test_fixture_colorings_match_the_reference_solver(name):
     d = load_diagram(name)
@@ -262,9 +306,8 @@ def test_greedy_order_branches_on_determining_arcs():
     assert greedy.nodes == 5 + 5**2 + 5**3 < by_index.nodes
 
 
-@pytest.fixture
-def coloring_budgets(monkeypatch):
-    """The Budget of every colorings() call made in the test, in call order."""
+def _recorded_budgets(monkeypatch, target):
+    """Every Budget made through the name target in the test, in order."""
     made = []
 
     class Recording(Budget):
@@ -272,8 +315,14 @@ def coloring_budgets(monkeypatch):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr("quandles.links.Budget", Recording)
+    monkeypatch.setattr(target, Recording)
     return made
+
+
+@pytest.fixture
+def coloring_budgets(monkeypatch):
+    """The Budget of every colorings() call made in the test, in call order."""
+    return _recorded_budgets(monkeypatch, "quandles.links.Budget")
 
 
 def _twist_nodes(k, budgets):
@@ -295,7 +344,17 @@ def test_k6_over_r5_finishes_under_the_benchmark_cap(coloring_budgets, monkeypat
     monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(10**6))
     found = colorings(synthesize_link(_all_ones(6)), dihedral(5))
     assert len(found) == 5  # the constant colorings
-    assert coloring_budgets[-1].nodes == 19530
+    assert coloring_budgets[-1].nodes == 3905  # sum of 5^i for i = 1..5
+
+
+@pytest.mark.parametrize("m", (3, 5))
+@pytest.mark.parametrize("k", range(3, 7))
+def test_all_ones_link_over_r_odd_branches_on_all_but_one_component(k, m, coloring_budgets):
+    # in the latin R_m two under-arcs at a crossing fix the over-arc, so the
+    # greedy order branches on k - 1 arcs, not k: sum of m^i for i = 1..k-1
+    d = synthesize_link(_all_ones(k))
+    assert [c.colors for c in colorings(d, dihedral(m))] == [(a,) * d.n_arcs for a in range(m)]
+    assert coloring_budgets[-1].nodes == sum(m**i for i in range(1, k))
 
 
 def test_small_cap_still_stops_k3_over_r3(coloring_budgets, monkeypatch):
@@ -306,7 +365,7 @@ def test_small_cap_still_stops_k3_over_r3(coloring_budgets, monkeypatch):
     assert err.value.budget.nodes == 4
     monkeypatch.delenv("QUANDLE_SEARCH_CAP")
     assert len(colorings(d, dihedral(3))) == 3
-    assert coloring_budgets[-1].nodes == 39
+    assert coloring_budgets[-1].nodes == 12  # 3 + 3^2: two of the three arcs branch
 
 
 def test_cap_messages_name_the_search(monkeypatch):
