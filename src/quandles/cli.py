@@ -93,51 +93,45 @@ def _listing(args, answers, line, head: str, keys) -> None:
         print(head % count, *chunks, sep="\n", flush=True)
 
 
-def _cmd_show(args) -> int:
+def _cmd_show(args) -> None:
     q = load_quandle(args.quandle)
     _emit(args, lambda: {"order": q.m, "table": [list(r) for r in q.table]}, q.show)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     q = load_quandle(args.quandle)
     _emit(args, lambda: {"ok": True, "order": q.m}, lambda: f"quandle: OK (order {q.m})")
-    return 0
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args) -> None:
     x, y = load_quandle(args.x), load_quandle(args.y)
     f = morphisms.is_isomorphic(x, y)
     _emit(args, lambda: {"isomorphic": f is not None, "map": list(f.image) if f else None},
           lambda: f"isomorphic via {list(f.image)}" if f else "not isomorphic")
-    return 0
 
 
-def _cmd_aut(args) -> int:
+def _cmd_aut(args) -> None:
     q = load_quandle(args.quandle)
     maps, _ = morphisms.automorphism_group(q)  # its table checks the group law
     _listing(args, (f.image for f in maps), _cycle_line, "|Aut| = %d", ("order", "maps"))
-    return 0
 
 
-def _cmd_inn(args) -> int:
+def _cmd_inn(args) -> None:
     q = load_quandle(args.quandle)
     group = morphisms.inner_group(q)
     _emit(args,
           lambda: {"order": group.order, "cyclic": group.is_cyclic(),
                    "element_orders": sorted(group.element_orders())},
           lambda: f"|Inn| = {group.order}, cyclic: {'yes' if group.is_cyclic() else 'no'}")
-    return 0
 
 
-def _cmd_homs(args) -> int:
+def _cmd_homs(args) -> None:
     x, y = load_quandle(args.x), load_quandle(args.y)
     _listing(args, morphisms._search(x, y), _numbers_line(x.m), "%d homomorphisms",
              ("count", "maps"))
-    return 0
 
 
-def _cmd_homquandle(args) -> int:
+def _cmd_homquandle(args) -> None:
     x, a = load_quandle(args.x), load_quandle(args.a)
     hom_q, labels = morphisms.hom_quandle(x, a)
 
@@ -151,25 +145,22 @@ def _cmd_homquandle(args) -> int:
         _emit(args, payload, lambda: f"Hom quandle of order {hom_q.m} written to {args.out}")
     else:
         _emit(args, payload, lambda: f"Hom quandle of order {hom_q.m}\n{hom_q.show()}")
-    return 0
 
 
-def _cmd_poly(args) -> int:
+def _cmd_poly(args) -> None:
     q = load_quandle(args.quandle)
     poly = invariants.quandle_polynomial(q)
     _emit(args, lambda: {"terms": sorted([s, t, c] for (s, t), c in poly.terms.items())},
           lambda: str(poly))
-    return 0
 
 
-def _cmd_goodinv(args) -> int:
+def _cmd_goodinv(args) -> None:
     q = load_quandle(args.quandle)
     _listing(args, invariants._good_involutions(q), _cycle_line, "%d good involutions",
              ("count", "involutions"))
-    return 0
 
 
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args) -> None:
     q = load_quandle(args.quandle)
     coeff = coh.Coeff.parse(args.coeff)
     summary = (coh.cohomology_Q(q, args.degree, coeff) if args.rho is None else
@@ -178,26 +169,22 @@ def _cmd_cohomology(args) -> int:
           lambda: {"group": str(summary), "rank": summary.rank,
                    "torsion": list(summary.torsion), "coeff": str(coeff)},
           lambda: str(summary))
-    return 0
 
 
-def _cmd_color(args) -> int:
-    d = load_diagram(args.diagram)
-    q = load_quandle(args.quandle)
+def _cmd_color(args) -> None:
+    d, q = load_diagram(args.diagram), load_quandle(args.quandle)
     _listing(args, (c.colors for c in links.colorings(d, q)), _numbers_line(d.n_arcs),
              "%d colorings", ("count", "colorings"))
-    return 0
 
 
-def _cmd_lk(args) -> int:
+def _cmd_lk(args) -> None:
     d = load_diagram(args.diagram)
     graph = links.linking_graph(d)
     _emit(args, lambda: {"m": graph.m, "weights": [list(r) for r in graph.weights]},
           lambda: "\n".join(" ".join(map(str, row)) for row in graph.weights))
-    return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     graph = _parse_file(args.graph, links.LinkingGraph.from_json)
     d = links.synthesize_link(graph)
 
@@ -213,7 +200,6 @@ def _cmd_synth(args) -> int:
                       f"{len(d.crossings)} crossings written to {args.out}")
     else:
         _emit(args, payload, lambda: d.to_text().rstrip("\n"))
-    return 0
 
 
 def _load_endos(q: Quandle, source: str):
@@ -230,9 +216,8 @@ def _load_endos(q: Quandle, source: str):
     return [morphisms.QuandleMap(q, q, tuple(img)) for img in images]
 
 
-def _cmd_quiver(args) -> int:
-    d = load_diagram(args.diagram)
-    q = load_quandle(args.quandle)
+def _cmd_quiver(args) -> None:
+    d, q = load_diagram(args.diagram), load_quandle(args.quandle)
     s = _load_endos(q, args.endos)
     qv = build_quiver(d, q, s)
     if args.dot:
@@ -244,12 +229,10 @@ def _cmd_quiver(args) -> int:
                    "edge_list": [list(e) for e in qv.edges]},
           lambda: f"quiver with {qv.n_vertices} vertices and {len(qv.edges)} edges"
                   + (f", DOT written to {args.dot}" if args.dot else ""))
-    return 0
 
 
-def _cmd_phi(args) -> int:
-    d = load_diagram(args.diagram)
-    q = load_quandle(args.quandle)
+def _cmd_phi(args) -> None:
+    d, q = load_diagram(args.diagram), load_quandle(args.quandle)
     if args.theta != q.m - 1:  # before any cochain of order N+1 is built
         raise ValueError("cochain size does not match the quandle")
     theta = coh.theta_cocycle(args.theta)
@@ -258,7 +241,6 @@ def _cmd_phi(args) -> int:
           lambda: {"coeffs": {str(k): v for k, v in sorted(value.coeffs.items())},
                    "at_one": value.evaluate_at_one()},
           lambda: str(value))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +308,8 @@ def main(argv=None) -> int:
         # "--" through as the value, so this can go once no supported one does
         if [] in vars(args).values():
             raise ValueError("an option's value cannot be '--'")
-        return args.fn(args)
+        args.fn(args)  # a handler prints its answer or raises
+        return 0
     except BrokenPipeError:
         # the reader left (as `| head` does); devnull takes the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

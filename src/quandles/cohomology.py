@@ -102,21 +102,6 @@ def _columns(q: Quandle):
     return cols, [col == identity for col in cols]
 
 
-def _letters(q: Quandle, inert, rho):
-    """Each element's orbit, the least element of its Inn-orbit O or of O and
-    rho(O), and its letter of a block key: (orbit,) if it is inert, else ()."""
-    least = [-1] * q.m
-    for start in q.elements:
-        pending = [] if least[start] >= 0 else [start]
-        while pending:
-            for z in q.table[pending.pop()]:  # x*y for every y
-                if least[z] < 0:
-                    least[z] = start
-                    pending.append(z)
-    orbit = [min(least[x], least[r]) for x, r in zip(q.elements, rho or q.elements)]
-    return orbit, [(o,) if i else () for o, i in zip(orbit, inert)]
-
-
 def boundary_matrix(q: Quandle, n: int):
     """Matrix of the degree-n boundary on the non-degenerate bases.
 
@@ -207,7 +192,11 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
     top = 4 if any(columns[1]) else 3
     if not 2 <= n <= top:
         raise ValueError(f"degree {n} outside supported range 2..{top}")
-    orbit, letters = _letters(q, columns[1], rho) if split else ([0] * q.m, [()] * q.m)
+    # each element's orbit: the least point of its Inn-orbit O, or of O and rho(O);
+    # its letter of a block key is (orbit,) if it is inert, else ()
+    least = q._orbits[0] if split else [0] * q.m
+    orbit = [min(least[x], least[r]) for x, r in zip(q.elements, rho or q.elements)]
+    letters = [(o,) if split and i else () for o, i in zip(orbit, columns[1])]
     sizes = [q.m * (q.m - 1) ** (k - 1) for k in (n - 1, n, n + 1)]  # c_k, as tuple_basis
     tuples = 0 if rho is None else q.m**n
     if any(letters):

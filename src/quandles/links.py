@@ -14,7 +14,8 @@ crossing. The crossing rule propagates forward (under_in and over give
 under_out) and backward (under_out and over give under_in, since quandle
 columns are bijections); over a latin quandle under_in and under_out also
 give over. The search branches first on the arcs whose colors determine the
-most other arcs.
+most other arcs. Inner automorphisms permute the colorings, so the first of
+those arcs takes one color per Inn-orbit and inner maps give the rest.
 """
 
 from __future__ import annotations
@@ -222,13 +223,21 @@ def colorings(d: LinkDiagram, q: Quandle):
     One solver constraint per crossing: under_out = T[under_in][over] with T
     the quandle table at a positive crossing and its inverse columns at a
     negative one. The search branches in greedy_order and propagates each
-    crossing forward and backward.
+    crossing forward and backward. Each column S_y is an automorphism, and
+    c -> g∘c keeps the crossing rule as g(a*b) = g(a)*g(b), so Inn(q) permutes
+    the colorings. The first branch arc takes only the least point r of each
+    Inn-orbit; g∘c, with g inner and g(r) = e, gives the colorings where it is e.
     """
     op, bar = q.table, q.bar_table
     constraints = [(c.under_in, c.over, c.under_out) + ((op, bar) if c.sign > 0 else (bar, op))
                    for c in d.crossings]
-    found = solve(d.n_arcs, q.m, constraints, Budget("coloring"),
-                  order=greedy_order(d.n_arcs, constraints))
+    order = greedy_order(d.n_arcs, constraints)
+    least, moves = q._orbits
+    found = []
+    for colors in solve(d.n_arcs, q.m, constraints, Budget("coloring"), order=order,
+                        first=[r for r in q.elements if least[r] == r]):
+        found.append(colors)
+        found += [tuple(map(g.__getitem__, colors)) for g in moves[colors[order[0]]]]
     return [Coloring(colors) for colors in sorted(found)]
 
 

@@ -56,6 +56,25 @@ class Quandle:
         inv_id = [ids.get(col, -1) for col in zip(*self.bar_table)]
         return list(ids), col_id, inv_id
 
+    @cached_property
+    def _orbits(self) -> tuple:
+        """(the least point of each element's Inn-orbit, and for each least point
+        r the inner maps g with g(r) = e, one per other e of its orbit, as image
+        tuples), from one walk over the distinct columns S_y: g_(x*y) = S_y g_x."""
+        least, moves = [-1] * self.m, [[] for _ in self.elements]
+        for start in self.elements:
+            if least[start] >= 0:
+                continue
+            least[start], pending = start, [(start, None)]  # None: the identity
+            while pending:
+                x, g = pending.pop()
+                for col in self._columns[0]:
+                    if least[z := col[x]] < 0:
+                        least[z] = start
+                        moves[start].append(col if g is None else tuple(map(col.__getitem__, g)))
+                        pending.append((z, moves[start][-1]))
+        return least, moves
+
     def column_perm(self, y: int) -> tuple:
         """The bijection x -> x*y as an image tuple on {0..m-1}."""
         return tuple(self.table[x][y] for x in range(self.m))

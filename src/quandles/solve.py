@@ -42,12 +42,14 @@ def _watch_lists(n_vars: int, constraints):
 
 
 def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
-          distinct: bool = False):
+          distinct: bool = False, first=None):
     """An iterator over the assignments (tuples of values) satisfying every
     constraint, in search order.
 
     ``order`` lists every variable (default range(n_vars)). ``distinct``
-    requires all values to differ. The search runs as the iterator is read,
+    requires all values to differ. ``first`` lists the values order[0] tries
+    (default range(n)): one per orbit, say, when a symmetry gives the others.
+    The search runs as the iterator is read,
     so a reader that stops early spends only the nodes before its last answer.
     """
     order = list(range(n_vars)) if order is None else list(order)
@@ -66,7 +68,7 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
 
     spend, depth, last = budget.spend, len(order), n_vars - 1
     stack = []  # the branches above the one on order[pos]: (pos, mark, values)
-    pos, mark, values = 0, 0, iter(range(n))  # order[pos]'s values left to try
+    pos, mark, values = 0, 0, iter(range(n) if first is None else first)  # values left to try
     while True:
         v = order[pos]
         if len(stack) + mark == last and checks[v] is not None:

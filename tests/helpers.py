@@ -10,6 +10,7 @@ from quandles import (
     Coloring,
     FiniteGroupTable,
     LinkDiagram,
+    LinkingGraph,
     Quandle,
     all_permutations,
     cochain_slice,
@@ -21,7 +22,7 @@ from quandles.cohomology import _cohomology
 from quandles.invariants import _good_involution_defect
 from quandles.limits import Budget
 from quandles.permutations import _cycles
-from quandles.solve import _watch_lists
+from quandles.solve import _watch_lists, greedy_order
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -72,6 +73,33 @@ def labelled_quandles(m: int):
         except AxiomError:
             pass
     return found
+
+
+def all_ones_graph(k: int) -> LinkingGraph:
+    """The linking graph of k components, each pair linked once."""
+    return LinkingGraph(tuple(tuple(int(i != j) for j in range(k)) for i in range(k)))
+
+
+def coloring_problem(d: LinkDiagram, q: Quandle):
+    """(variables, values, constraints, order) of the solver problem that
+    colorings() builds for d over q, with every value tried on each arc."""
+    constraints = [(c.under_in, c.over, c.under_out)
+                   + ((q.table, q.bar_table) if c.sign > 0 else (q.bar_table, q.table))
+                   for c in d.crossings]
+    return d.n_arcs, q.m, constraints, greedy_order(d.n_arcs, constraints)
+
+
+def recorded_budgets(monkeypatch, target):
+    """Every Budget made through the name target in the test, in order."""
+    made = []
+
+    class Recording(Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(target, Recording)
+    return made
 
 
 def brute_force_colorings(d: LinkDiagram, q: Quandle):

@@ -4,9 +4,17 @@ from itertools import product
 import pytest
 
 from helpers import (
+    FIXTURES,
+    all_ones_graph,
     brute_force_colorings,
+    coloring_problem,
+    conjugation_quandle,
+    disjoint_union,
+    labelled_quandles,
     load_diagram,
     p_coloring_tuple_predicate,
+    recorded_budgets,
+    symmetric_group_elements,
 )
 from quandles import (
     DiagramError,
@@ -21,9 +29,12 @@ from quandles import (
     p_quandle,
     parse_cycles,
     parse_diagram,
+    relabel_quandle,
     synthesize_link,
     trivial,
 )
+from quandles.limits import Budget
+from quandles.solve import solve
 
 P3 = p_quandle(2, parse_cycles("(1 2)", 2))
 HOPF = load_diagram("hopf_pos.lnk")
@@ -234,3 +245,79 @@ def test_coloring_parametrization_on_fixtures():
             expected = {combo for combo in product(range(n + 1), repeat=d.n_components)
                         if p_coloring_tuple_predicate(sigma, w, combo)}
             assert tuples == expected and len(tuples) == len(found)
+
+
+def _seeded_links(seed, count, max_arcs):
+    """Synthesized links of 2 or 3 components with weights in -2..2, the first
+    count of at most max_arcs arcs that the seed draws."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        m = rng.randint(2, 3)
+        w = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                w[i][j] = w[j][i] = rng.randint(-2, 2)
+        d = synthesize_link(LinkingGraph(tuple(map(tuple, w))))
+        if d.n_arcs <= max_arcs:
+            found.append(d)
+    return found
+
+
+FIXTURE_DIAGRAMS = [load_diagram(p.name) for p in sorted(FIXTURES.glob("*.lnk"))]
+# the transpositions of S5 under conjugation: one Inn-orbit, which the walk
+# from (0 1) crosses in several steps of different columns
+TRANSPOSITIONS = conjugation_quandle(
+    [p for p in symmetric_group_elements(5) if sum(x != i for i, x in enumerate(p)) == 2])
+
+
+def _unrestricted(d, q):
+    """The sorted colorings and the node count of the same search with every
+    value tried on the first branch arc."""
+    n_vars, n, constraints, order = coloring_problem(d, q)
+    budget = Budget("test")
+    return sorted(solve(n_vars, n, constraints, budget, order=order)), budget.nodes
+
+
+def test_colorings_match_brute_force_on_every_small_labelled_quandle():
+    # the first branch arc takes one color per Inn-orbit, and inner maps give
+    # the rest: every labelled quandle of order <= 4, transitive or not
+    diagrams = FIXTURE_DIAGRAMS + _seeded_links(20261019, 8, 6)
+    for m in range(1, 5):
+        for q in labelled_quandles(m):
+            for d in diagrams:
+                assert colorings(d, q) == brute_force_colorings(d, q)
+    for d in FIXTURE_DIAGRAMS:
+        assert colorings(d, TRANSPOSITIONS) == brute_force_colorings(d, TRANSPOSITIONS)
+
+
+def test_colorings_match_the_unrestricted_search(monkeypatch):
+    # relabelled R5 and R7 (one Inn-orbit), P(4, (1 2)) and P(5, (1 2 3))
+    # (orbits {0}, the cycles and the fixed points of the permutation), and a
+    # disjoint union (no orbit meets both halves): the same colorings, in no
+    # more nodes; over T_m every orbit is a point, so the same search
+    made = recorded_budgets(monkeypatch, "quandles.links.Budget")
+    rng = random.Random(5)
+    quandles = [relabel_quandle(dihedral(m), rng.sample(range(m), m)) for m in (5, 7)]
+    quandles += [p_quandle(4, parse_cycles("(1 2)", 4)), p_quandle(5, parse_cycles("(1 2 3)", 5)),
+                 disjoint_union(dihedral(3), P3), TRANSPOSITIONS,
+                 relabel_quandle(TRANSPOSITIONS, rng.sample(range(10), 10))]
+    diagrams = (FIXTURE_DIAGRAMS + _seeded_links(7, 8, 12)
+                + [synthesize_link(all_ones_graph(k)) for k in (3, 4)]
+                + [synthesize_link(LinkingGraph(((0, 5, 1), (5, 0, 1), (1, 1, 0))))])
+    trivials = [trivial(m) for m in (2, 3, 4)]
+    for d in diagrams:
+        for q in quandles + trivials:
+            want, nodes = _unrestricted(d, q)
+            assert [c.colors for c in colorings(d, q)] == want
+            assert made[-1].nodes == nodes if q in trivials else made[-1].nodes <= nodes
+
+
+@pytest.mark.parametrize("text, count", [("O 0\n", 3), ("O 0\nO 1\nO 2\n", 27),
+                                         ((FIXTURES / "kink1.lnk").read_text(), 3)])
+def test_free_loops_and_a_kink_keep_their_counts(text, count):
+    # free loops: no crossing constrains them, so each takes every color; a
+    # kink: one arc that is its own over-arc, which every element colors
+    d = parse_diagram(text)
+    for q in (dihedral(3), trivial(3)):
+        found = colorings(d, q)
+        assert found == brute_force_colorings(d, q) and len(found) == count

@@ -6,6 +6,7 @@ import pytest
 import quandles
 from helpers import (
     conjugation_quandle,
+    inner_images,
     labelled_quandles,
     medial_law_holds,
     symmetric_group_elements,
@@ -118,6 +119,27 @@ def test_is_abelian():
     assert trivial(5).is_abelian()
     s3 = conjugation_quandle(symmetric_group_elements(3))
     assert not s3.is_abelian()
+
+
+def test_orbits_give_an_inner_map_to_each_point_of_an_orbit():
+    # the Inn-orbit of x is {g(x) : g in Inn}, with Inn from the columns closed
+    # under composition; the transpositions of S5 are one orbit that the walk
+    # crosses in several steps of different columns
+    transpositions = [p for p in symmetric_group_elements(5)
+                      if sum(x != i for i, x in enumerate(p)) == 2]
+    cases = [conjugation_quandle(transpositions), conjugation_quandle(symmetric_group_elements(4)),
+             dihedral(6), p_quandle(4, parse_cycles("(1 2 3)", 4))]
+    for q in cases + [q for m in range(1, 5) for q in labelled_quandles(m)]:
+        inn = inner_images(q)
+        least, moves = q._orbits
+        for x in q.elements:
+            orbit = {g[x] for g in inn}
+            assert least[x] == min(orbit)
+            if least[x] == x:  # one map per other point, taking x there
+                assert sorted(g[x] for g in moves[x]) == sorted(orbit - {x})
+                assert set(moves[x]) <= set(inn)
+            else:
+                assert moves[x] == []
 
 
 def _alexander(n: int, t: int) -> Quandle:

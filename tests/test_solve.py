@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 import quandles
 from helpers import (
     FIXTURES,
+    all_ones_graph,
     brute_force_colorings,
     brute_force_homs,
+    coloring_problem,
     load_diagram,
     p_coloring_tuple_predicate,
+    recorded_budgets,
     reference_solve,
 )
 from quandles import (
@@ -81,10 +84,6 @@ def linking_graphs(draw, max_m=3, max_w=None):
     return LinkingGraph(tuple(map(tuple, w)))
 
 
-def _all_ones(k):
-    return LinkingGraph(tuple(tuple(int(i != j) for j in range(k)) for i in range(k)))
-
-
 @ORACLE
 @given(linking_graphs(), relabelled_quandles())
 def test_colorings_match_brute_force(g, q):
@@ -141,13 +140,6 @@ def _hom_problem(x, y):
     return x.m, y.m, constraints, None
 
 
-def _coloring_problem(d, q):
-    constraints = [(c.under_in, c.over, c.under_out)
-                   + ((q.table, q.bar_table) if c.sign > 0 else (q.bar_table, q.table))
-                   for c in d.crossings]
-    return d.n_arcs, q.m, constraints, greedy_order(d.n_arcs, constraints)
-
-
 def _run(search, problem, distinct=False, cap=None):
     """(answers, Budget.nodes as each answer came, nodes at the end, whether the
     cap stopped the search)."""
@@ -201,7 +193,7 @@ def test_hom_search_on_generators_matches_all_pairs(x, monkeypatch):
     # one constraint per a != g for g in a generating set: the same answers in
     # the same order as one per pair a != b, with the same node count at each
     # answer and at the end
-    made = _recorded_budgets(monkeypatch, "quandles.morphisms.Budget")
+    made = recorded_budgets(monkeypatch, "quandles.morphisms.Budget")
     for y in ORACLE_QUANDLES:
         for distinct in (False, True):
             answers, nodes_at = [], []
@@ -233,13 +225,13 @@ def test_generators_are_taken_greedily():
 def test_fixture_colorings_match_the_reference_solver(name):
     d = load_diagram(name)
     for q in ORACLE_QUANDLES:
-        assert_solves_like_the_reference(_coloring_problem(d, q), sweep=q in SWEEP_QUANDLES)
+        assert_solves_like_the_reference(coloring_problem(d, q), sweep=q in SWEEP_QUANDLES)
 
 
 @ORACLE
 @given(linking_graphs(max_m=4, max_w=3), st.sampled_from(ORACLE_QUANDLES))
 def test_synthesized_colorings_match_the_reference_solver(g, q):
-    assert_solves_like_the_reference(_coloring_problem(synthesize_link(g), q))
+    assert_solves_like_the_reference(coloring_problem(synthesize_link(g), q))
 
 
 @pytest.mark.parametrize("text", [(FIXTURES / "kink1.lnk").read_text(), "X 0 0 1 +\nX 1 1 0 +\n"])
@@ -306,23 +298,10 @@ def test_greedy_order_branches_on_determining_arcs():
     assert greedy.nodes == 5 + 5**2 + 5**3 < by_index.nodes
 
 
-def _recorded_budgets(monkeypatch, target):
-    """Every Budget made through the name target in the test, in order."""
-    made = []
-
-    class Recording(Budget):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(target, Recording)
-    return made
-
-
 @pytest.fixture
 def coloring_budgets(monkeypatch):
     """The Budget of every colorings() call made in the test, in call order."""
-    return _recorded_budgets(monkeypatch, "quandles.links.Budget")
+    return recorded_budgets(monkeypatch, "quandles.links.Budget")
 
 
 def _twist_nodes(k, budgets):
@@ -333,45 +312,50 @@ def _twist_nodes(k, budgets):
 
 def test_twist_ladder_is_linear_in_crossings(coloring_budgets):
     # the node count does not grow with the twist: only the propagation
-    # along the 2k crossings does
+    # along the 2k crossings does. The first branch arc takes one color per
+    # Inn-orbit of P(4, (1 2)), {0}, {1, 2}, {3}, {4}, and two more arcs branch
     count_50, nodes_50 = _twist_nodes(50, coloring_budgets)
     count_100, nodes_100 = _twist_nodes(100, coloring_budgets)
     assert count_50 == count_100 == 93
-    assert nodes_50 == nodes_100 == _twist_nodes(7, coloring_budgets)[1] == 155
+    assert nodes_50 == nodes_100 == _twist_nodes(7, coloring_budgets)[1] == 4 * (1 + 5 + 25)
 
 
 def test_k6_over_r5_finishes_under_the_benchmark_cap(coloring_budgets, monkeypatch):
     monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(10**6))
-    found = colorings(synthesize_link(_all_ones(6)), dihedral(5))
+    found = colorings(synthesize_link(all_ones_graph(6)), dihedral(5))
     assert len(found) == 5  # the constant colorings
-    assert coloring_budgets[-1].nodes == 3905  # sum of 5^i for i = 1..5
+    # R5 is one Inn-orbit, so the first branch arc takes one color:
+    # sum of 5^i for i = 0..4
+    assert coloring_budgets[-1].nodes == 781
 
 
 @pytest.mark.parametrize("m", (3, 5))
 @pytest.mark.parametrize("k", range(3, 7))
 def test_all_ones_link_over_r_odd_branches_on_all_but_one_component(k, m, coloring_budgets):
     # in the latin R_m two under-arcs at a crossing fix the over-arc, so the
-    # greedy order branches on k - 1 arcs, not k: sum of m^i for i = 1..k-1
-    d = synthesize_link(_all_ones(k))
+    # greedy order branches on k - 1 arcs, not k; R_m (m odd) is one Inn-orbit,
+    # so the first of them takes one color: sum of m^i for i = 0..k-2
+    d = synthesize_link(all_ones_graph(k))
     assert [c.colors for c in colorings(d, dihedral(m))] == [(a,) * d.n_arcs for a in range(m)]
-    assert coloring_budgets[-1].nodes == sum(m**i for i in range(1, k))
+    assert coloring_budgets[-1].nodes == sum(m**i for i in range(k - 1))
 
 
 def test_small_cap_still_stops_k3_over_r3(coloring_budgets, monkeypatch):
-    d = synthesize_link(_all_ones(3))
-    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "3")
+    d = synthesize_link(all_ones_graph(3))
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "2")
     with pytest.raises(SearchCapError) as err:
         colorings(d, dihedral(3))
-    assert err.value.budget.nodes == 4
+    assert err.value.budget.nodes == 3
     monkeypatch.delenv("QUANDLE_SEARCH_CAP")
     assert len(colorings(d, dihedral(3))) == 3
-    assert coloring_budgets[-1].nodes == 12  # 3 + 3^2: two of the three arcs branch
+    # 1 + 3: two of the three arcs branch, the first on one color per Inn-orbit
+    assert coloring_budgets[-1].nodes == 4
 
 
 def test_cap_messages_name_the_search(monkeypatch):
     shape = re.compile(r"\w+ search exceeded \d+ nodes")
     cases = [
-        (3, lambda: colorings(synthesize_link(_all_ones(3)), dihedral(3)), "coloring"),
+        (3, lambda: colorings(synthesize_link(all_ones_graph(3)), dihedral(3)), "coloring"),
         (5, lambda: homs(trivial(3), trivial(3)), "hom"),
         (0, lambda: is_isomorphic(trivial(3), trivial(3)), "hom"),
         (7, lambda: good_involutions(trivial(5)), "involution"),
