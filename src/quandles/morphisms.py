@@ -177,7 +177,7 @@ def automorphism_group(q: Quandle):
 
 def inner_group(q: Quandle) -> FiniteGroupTable:
     """Closure of the column bijections S_y under composition."""
-    gens = {q.column_perm(y) for y in q.elements}
+    gens = set(q._columns[0])  # the distinct columns
     elems, pending = set(gens), list(gens)
     while pending:
         a = pending.pop()

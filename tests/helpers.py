@@ -4,7 +4,6 @@ from itertools import permutations, product
 from pathlib import Path
 
 from quandles import (
-    AxiomError,
     CochainComplexSlice,
     Coeff,
     Coloring,
@@ -50,8 +49,9 @@ def brute_force_homs(x: Quandle, y: Quandle):
 
 
 def brute_force_automorphisms(q: Quandle):
-    return [img for img in map(tuple, permutations(range(q.m)))
-            if img in set(brute_force_homs(q, q))]
+    """The bijections among brute_force_homs(q, q), in lex order."""
+    maps = set(brute_force_homs(q, q))
+    return [img for img in permutations(range(q.m)) if img in maps]
 
 
 def medial_law_holds(q: Quandle) -> bool:
@@ -63,16 +63,52 @@ def medial_law_holds(q: Quandle) -> bool:
 
 
 def labelled_quandles(m: int):
-    """Every quandle table on {0..m-1}: each column a permutation fixing its
-    own index, kept when the constructor accepts the table."""
-    found = []
-    for cols in product(*([p for p in permutations(range(m)) if p[y] == y]
-                          for y in range(m))):
-        try:
+    """Every quandle table on {0..m-1}, in lex order of its columns. The
+    columns are placed one at a time, each S_z a permutation that fixes z.
+    (x*y)*z = (x*z)*(y*z) for all x says S_z S_y = S_(S_z(y)) S_z, and that
+    is checked for each y, z once the three columns it names are placed.
+    The constructor checks every table again."""
+    choices = [[p for p in permutations(range(m)) if p[z] == z] for z in range(m)]
+    cols, found = [], []
+
+    def law_holds(c: int) -> bool:  # the (y, z) whose last column placed is c
+        for y, z in product(range(c + 1), repeat=2):
+            w = cols[z][y]
+            if w <= c and c in (y, z, w) and any(
+                    cols[z][cols[y][x]] != cols[w][cols[z][x]] for x in range(m)):
+                return False
+        return True
+
+    def place(c: int) -> None:
+        if c == m:
             found.append(Quandle(list(zip(*cols))))
-        except AxiomError:
-            pass
+            return
+        for col in choices[c]:
+            cols.append(col)
+            if law_holds(c):
+                place(c + 1)
+            cols.pop()
+
+    place(0)
     return found
+
+
+def relabelled_table(table, p) -> tuple:
+    """The table with each element x renamed p[x]."""
+    out = [[0] * len(p) for _ in p]
+    for x, row in enumerate(table):
+        for y, v in enumerate(row):
+            out[p[x]][p[y]] = p[v]
+    return tuple(map(tuple, out))
+
+
+def quandle_classes(m: int):
+    """One quandle of order m per isomorphism class, sorted: the least
+    relabelling of each of labelled_quandles(m), as a tuple of rows."""
+    relabellings = list(permutations(range(m)))
+    least = {min(relabelled_table(q.table, p) for p in relabellings)
+             for q in labelled_quandles(m)}
+    return [Quandle(table) for table in sorted(least)]
 
 
 def all_ones_graph(k: int) -> LinkingGraph:

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -476,6 +478,29 @@ def test_listings_print_what_the_public_functions_return(capsys, source):
         assert run(capsys, *argv) == (0, "\n".join(lines) + "\n", ""), argv
         assert run(capsys, *argv, "--json") == (
             0, json.dumps(payload, sort_keys=True) + "\n", ""), argv
+
+
+ONE_COLUMN_CLASSES = [(f"P {n} {format_cycles(sigma)}", sigma.cycle_type) for n in range(2, 10)
+                      for sigma in conjugacy_class_representatives(n) if not sigma.is_identity()]
+TOO_BIG_FOR_A_GROUP_TABLE = pytest.mark.xfail(
+    strict=True, reason="aut builds the 10080^2-cell group table, over the default cap")
+
+
+def test_the_one_column_census_has_87_classes_up_to_degree_nine():
+    assert len(ONE_COLUMN_CLASSES) == 87
+
+
+@pytest.mark.parametrize("source, cycle_type", [
+    pytest.param(*c, marks=TOO_BIG_FOR_A_GROUP_TABLE) if c[0] == "P 9 (1 2)" else c
+    for c in ONE_COLUMN_CLASSES], ids=[c[0] for c in ONE_COLUMN_CLASSES])
+def test_aut_of_every_one_column_class_up_to_degree_nine(capsys, source, cycle_type):
+    # |Aut P(n, sigma)| = |C(sigma)|, and C(sigma) is the product over the
+    # cycle lengths k of Z_k wr S_(c_k), of order k^(c_k) * c_k! for c_k
+    # cycles of length k
+    order = math.prod(k**c * math.factorial(c) for k, c in Counter(cycle_type).items())
+    code, out, _ = run(capsys, "aut", source)
+    assert code == 0
+    assert out.partition("\n")[0] == f"|Aut| = {order}" and out.count("\n") == order + 1
 
 
 @pytest.mark.parametrize("chunk", (1, 2, 26, 27, 28))

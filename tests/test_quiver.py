@@ -156,6 +156,18 @@ def test_quiver_isomorphic_runs_deeper_than_the_recursion_limit():
     assert quiver_isomorphic(qv, qv)
 
 
+@pytest.mark.xfail(raises=SearchCapError, strict=True,
+                   reason="the backtracker cannot tell the symmetric vertices apart")
+def test_quiver_isomorphic_matches_a_renumbered_symmetric_quiver(monkeypatch):
+    # the quiver of the test above against a renumbering of itself: 216
+    # disjoint 6-cycles, which colour refinement would match in a few steps
+    t6 = trivial(6)
+    d = synthesize_link(LinkingGraph(((0,) * 4,) * 4))
+    qv = quiver(d, t6, [QuandleMap(t6, t6, (1, 2, 3, 4, 5, 0))])
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "100000")
+    assert quiver_isomorphic(qv, _renumbered(qv, random.Random(0)))
+
+
 def test_quiver_isomorphic_node_costs_the_degree(monkeypatch):
     # four unlinked circles over T6 under the 6-cycle and (0 0 1 2 3 4), against
     # a renumbering of itself: a node checks only the placed neighbours of the
