@@ -123,28 +123,35 @@ def _good_involution_defect(q: Quandle, rho):
 
 
 def _involutions(q: Quandle, budget: Budget):
-    """The involutions of {0..m-1}, in lex order, that fix or pair x only with
-    a y whose column is the inverse of x's column, as x*rho(y) = bar(x, y)
-    requires. Each involution built spends one node of the budget."""
+    """The involutions of {0..m-1}, made one at a time in lex order, that fix or
+    pair x only with a y whose column is the inverse of x's column, as x*rho(y)
+    = bar(x, y) requires. Each involution built spends one node of the budget."""
+    if not q.m:  # the empty map is the one involution of the empty set
+        budget.spend()
+        yield ()
+        return
     _, col_id, inv_id = q._columns
-    m, image, out = q.m, [-1] * q.m, []
-    partners = [[y for y in range(x, m) if col_id[y] == inv_id[x]] for x in range(m)]
-
-    def build(x):  # pair the first unpaired point at or after x
-        while x < m and image[x] >= 0:
-            x += 1
-        if x == m:
-            budget.spend()
-            out.append(tuple(image))
-            return
-        for y in partners[x]:  # y = x first: the images come out in lex order
+    partners = [[y for y in range(x, q.m) if col_id[y] == inv_id[x]] for x in range(q.m)]
+    m, image, stack, x, ys = q.m, [-1] * q.m, [], 0, iter(partners[0])  # x: first unpaired
+    while True:  # stack: each point paired before x, with its partners left to try
+        for y in ys:  # y = x first: the images come out in lex order
             if image[y] < 0:
                 image[x], image[y] = y, x
-                build(x + 1)
+                nxt = x + 1
+                while nxt < m and image[nxt] >= 0:
+                    nxt += 1
+                if nxt < m:
+                    stack.append((x, ys))
+                    x, ys = nxt, iter(partners[nxt])
+                    break
+                budget.spend()
+                yield tuple(image)
                 image[x] = image[y] = -1
-
-    build(0)
-    return out
+        else:  # every partner of x tried: back to the point paired before it
+            if not stack:
+                return
+            x, ys = stack.pop()
+            image[image[x]] = image[x] = -1
 
 
 def _good_involutions(q: Quandle):
@@ -152,8 +159,9 @@ def _good_involutions(q: Quandle):
     Budget counts the involutions built. They pair only mutually inverse columns,
     so x*rho(y) = bar(x, y) holds; kept are those that commute with each column."""
     cols = [col for col in q._columns[0] if col != tuple(q.elements)]
-    return (rho for rho in _involutions(q, Budget("involution"))
-            if all(tuple(map(rho.__getitem__, c)) == tuple(map(c.__getitem__, rho)) for c in cols))
+    rhos = _involutions(q, Budget("involution"))
+    return rhos if not cols else (rho for rho in rhos if all(
+        tuple(map(rho.__getitem__, c)) == tuple(map(c.__getitem__, rho)) for c in cols))
 
 
 def good_involutions(q: Quandle):

@@ -94,65 +94,57 @@ def quiver(d: LinkDiagram, q: Quandle, s) -> Quiver:
     return Quiver(tuple(verts), labels, tuple(edges))
 
 
-def _vertex_signature(qv: Quiver):
-    n = qv.n_vertices
-    out_m, in_m = [[] for _ in range(n)], [[] for _ in range(n)]
-    loops = [0] * n
-    for (a, b), k in qv.multiplicity.items():
-        out_m[a].append(k)
-        in_m[b].append(k)
-        if a == b:
-            loops[a] += k
-    return [(loops[v], tuple(sorted(out_m[v])), tuple(sorted(in_m[v])))
-            for v in range(n)]
-
-
 def quiver_isomorphic(q1: Quiver, q2: Quiver, max_vertices: int | None = None) -> bool:
-    """Exact search for a vertex bijection matching edge multiplicities; each
-    candidate image tried is one node of a "quiver" Budget."""
+    """Exact test by colour refinement and individualisation (McKay & Piperno,
+    J. Symbolic Comput. 2014) of one colouring of both quivers, q2's vertex w
+    being n + w. A branch ends when a split part holds more vertices of one
+    quiver than of the other; a discrete colouring is the bijection, re-verified
+    edge by edge. Each splitter vertex scanned is one node of a "quiver" Budget."""
     if q1.n_vertices != q2.n_vertices or len(q1.edges) != len(q2.edges):
         return False
-    n = q1.n_vertices
+    n, budget = q1.n_vertices, Budget("quiver")
     if max_vertices is not None and n > max_vertices:
         raise ValueError(f"{n} vertices exceed the bound {max_vertices}")
-    sig1, sig2 = _vertex_signature(q1), _vertex_signature(q2)
-    if sorted(sig1) != sorted(sig2):
-        return False
-    candidates = {}  # the vertices of q2 of each signature, in order
-    for w, sig in enumerate(sig2):
-        candidates.setdefault(sig, []).append(w)
-    order = sorted(range(n), key=lambda v: len(candidates[sig1[v]]))
-    m1, m2 = q1.multiplicity, q2.multiplicity
-    nbrs1, nbrs2 = [set() for _ in range(n)], [set() for _ in range(n)]
-    for mult, nbrs in ((m1, nbrs1), (m2, nbrs2)):
-        for a, b in mult:
-            nbrs[a].add(b), nbrs[b].add(a)
-    mapping, used, tries = [-1] * n, [False] * n, [None] * n  # tries: candidates left
-    budget = Budget("quiver")
-    pos = 0  # a depth-first search on an explicit stack, so no depth limit applies
-    while pos < n:
-        v = order[pos]
-        if mapping[v] < 0:
-            tries[pos] = iter(candidates[sig1[v]])
-        else:  # back from a dead end: free v's image and go on to its next candidate
-            used[mapping[v]], mapping[v] = False, -1
-        # w fits iff it matches v's placed neighbours and has no others (sig1 matched loops)
-        placed = [p for p in nbrs1[v] if mapping[p] >= 0]
-        for w in tries[pos]:
-            if used[w]:
-                continue
-            budget.spend()
-            if len(placed) == sum(used[u] for u in nbrs2[w]) and all(
-                    m1.get((v, p), 0) == m2.get((w, mapping[p]), 0)
-                    and m1.get((p, v), 0) == m2.get((mapping[p], w), 0) for p in placed):
-                mapping[v], used[w] = w, True
+    sources, targets = [[] for _ in range(2 * n)], [[] for _ in range(2 * n)]
+    for shift, qv in ((0, q1), (n, q2)):  # a -> b as often as the edge occurs
+        for a, b in qv.edges:
+            sources[b + shift].append(a + shift), targets[a + shift].append(b + shift)
+    colour, cells, queue, stack = [0] * 2 * n, [set(range(2 * n))], [0], []
+    while True:  # a depth-first search on an explicit stack; no cell set is changed once made
+        while queue:  # split each cell by its vertices' edges to and from a splitter cell
+            splitter, split = cells[queue.pop()], {}
+            for _ in splitter:
+                budget.spend()
+            to, fro = (Counter([v for u in splitter for v in e[u]]) for e in (sources, targets))
+            for v in to.keys() | fro.keys():
+                split.setdefault((colour[v], to.get(v, 0), fro.get(v, 0)), []).append(v)
+            if any(2 * sum(map(n.__gt__, part)) != len(part) for part in split.values()):
                 break
-        pos += 1 if mapping[v] >= 0 else -1
-        if pos < 0:
+            for (d, *_), part in sorted(split.items()):  # a part short of its cell d splits off
+                if len(part) < len(cells[d]):
+                    cells[d] = cells[d].difference(part)
+                    for v in part:
+                        colour[v] = len(cells)
+                    # queue the new part if d waits, else the smaller side: d gives the other
+                    queue.append(len(cells) if d in queue or len(part) <= len(cells[d]) else d)
+                    cells.append(set(part))
+        else:  # stable; branch on q1's first vertex in the smallest open cell
+            sizes = list(map(len, cells))
+            if max(sizes) <= 2:  # discrete
+                f = list(map(dict(zip(colour[n:], range(n))).get, colour[:n]))
+                assert Counter((f[a], f[b]) for a, b in q1.edges) == q2.multiplicity
+                return True
+            c = sizes.index(min(filter((2).__lt__, sizes)))
+            members = sorted(cells[c])
+            stack.append((colour, cells, c, members[0], iter(members[len(members) // 2:])))
+        while stack and (w := next(stack[-1][-1], None)) is None:
+            stack.pop()
+        if not stack:
             return False
-    # re-verify the induced edge bijection edge by edge
-    assert Counter((mapping[a], mapping[b]) for a, b in q1.edges) == m2
-    return True
+        colour, cells, c, v, _ = stack[-1]  # individualise v against q2's next candidate w
+        colour, cells, queue = colour[:], cells + [{v, w}], [len(cells)]
+        cells[c] = cells[c] - {v, w}
+        colour[v] = colour[w] = queue[0]
 
 
 def quiver_dot(qv: Quiver) -> str:

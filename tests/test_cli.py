@@ -67,6 +67,13 @@ def test_cohomology_output(capsys):
     assert out.strip() == "F2^1"
 
 
+def test_cohomology_json_names_the_coefficients(capsys):
+    assert run(capsys, "cohomology", "R 4", "--degree", "3", "--json") == (0, json.dumps(
+        {"coeff": "Z", "group": "Z^2 (+) Z/2 (+) Z/2", "rank": 2, "torsion": [2, 2]}) + "\n", "")
+    assert run(capsys, "cohomology", "R 6", "--degree", "3", "--coeff", "Z3", "--json") == (
+        0, '{"coeff": "Z3", "group": "F3^4", "rank": 4, "torsion": []}\n', "")
+
+
 def test_cohomology_degree_four_needs_a_trivial_column(capsys):
     assert run(capsys, "cohomology", "P 7 (1 2 3)", "--degree", "4") == (0, "Z^750\n", "")
     assert run(capsys, "cohomology", "R 4", "--degree", "4") == (
@@ -127,6 +134,14 @@ def test_synth_roundtrip(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "lk", str(out_path))
     assert out == "0 3\n3 0\n"
+
+
+def test_synth_prints_the_diagram_without_out(tmp_path, capsys):
+    graph_path = tmp_path / "hopf.json"
+    graph_path.write_text(json.dumps({"m": 2, "weights": [[0, 1], [1, 0]]}))
+    assert run(capsys, "synth", str(graph_path)) == (0, "X 0 1 0 +\nX 1 0 1 +\n", "")
+    assert run(capsys, "synth", str(graph_path), "--json") == (0, json.dumps(
+        {"arcs": 2, "components": 2, "crossings": 2, "text": "X 0 1 0 +\nX 1 0 1 +\n"}) + "\n", "")
 
 
 def test_quiver_and_phi(tmp_path, capsys):

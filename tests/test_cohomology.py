@@ -15,6 +15,7 @@ from quandles import (
     AbelianGroupSummary,
     Cocycle2,
     Coeff,
+    SymmetricQuandle,
     boundary_matrix,
     cochain_slice,
     cohomology_Q,
@@ -191,6 +192,20 @@ def test_symmetric_cohomology_known_values():
     # over Z: a free part that the relations leave, and torsion in degree 3
     assert str(symmetric_cohomology(trivial(4), (1, 0, 3, 2), 2, "Z")) == "Z^2"
     assert str(symmetric_cohomology(dihedral(4), (0, 3, 2, 1), 3, "Z")) == "Z/2"
+
+
+def test_symmetric_cohomology_takes_a_symmetric_quandle():
+    # a SymmetricQuandle stands for its rho, but only over its own quandle
+    for q, rho, n in ((P3, (0, 2, 1), 2), (dihedral(4), (0, 3, 2, 1), 3)):
+        sym = SymmetricQuandle(q, rho)
+        assert symmetric_cohomology(q, sym, n, "Z") == symmetric_cohomology(q, rho, n, "Z")
+    with pytest.raises(ValueError, match="^symmetric structure belongs to a different quandle$"):
+        symmetric_cohomology(trivial(3), SymmetricQuandle(P3, (0, 2, 1)), 2, "Z")
+
+
+def test_is_2cocycle_rejects_a_cochain_of_the_wrong_size():
+    with pytest.raises(ValueError, match="^cochain size does not match the quandle$"):
+        is_2cocycle(P3, Cocycle2.from_pairs(4, {}))
 
 
 def test_symmetric_cohomology_rejects_bad_involution():

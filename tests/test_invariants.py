@@ -1,10 +1,12 @@
 import random
+import sys
 from itertools import permutations
 
 import pytest
 
 from helpers import cell_law_defect, remaining_list_good_involutions, symmetric_quandle_error
 from quandles import (
+    Quandle,
     SymmetricQuandle,
     TwoVarPolynomial,
     all_permutations,
@@ -169,7 +171,7 @@ def test_good_involutions_check_each_involution_once(monkeypatch):
     # law check runs once on each of those 2 as a SymmetricQuandle, and never on
     # the 2 that the column filter rejects
     q = p_quandle(3, parse_cycles("(1 2)", 3))
-    assert len(invariants._involutions(q, Budget("involution"))) == 4
+    assert len(list(invariants._involutions(q, Budget("involution")))) == 4
     calls = []
     check = invariants._good_involution_defect
 
@@ -181,6 +183,25 @@ def test_good_involutions_check_each_involution_once(monkeypatch):
     found = good_involutions(q)
     assert [s.rho for s in found] == [(0, 1, 2, 3), (0, 2, 1, 3)]
     assert calls == [s.rho for s in found]
+
+
+def test_involutions_are_built_on_an_explicit_stack():
+    # the pairing of each point is a level of an explicit stack, not a call, so
+    # trivial(60) needs no frames beyond the caller's 30; the involutions are
+    # made one at a time, so the first of its 2.7 * 10^43 comes at once. The
+    # empty quandle has one, the empty map
+    assert list(invariants._good_involutions(Quandle(()))) == [()]
+    q = trivial(60)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        first = next(invariants._good_involutions(q))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first == tuple(range(60))
 
 
 def test_good_involutions_match_the_remaining_list_oracle(monkeypatch):

@@ -1,3 +1,4 @@
+import importlib
 import random
 import sys
 import time
@@ -25,6 +26,7 @@ from quandles import (
     theta_cocycle,
     trivial,
 )
+from quandles.limits import Budget
 
 P3 = p_quandle(2, parse_cycles("(1 2)", 2))
 HOPF = load_diagram("hopf_pos.lnk")
@@ -133,8 +135,9 @@ def test_quiver_isomorphic_matches_networkx(q):
 
 
 def test_quiver_isomorphic_honours_the_search_cap(monkeypatch):
-    # 27 vertices, more than the old default bound of 24; one node is spent
-    # per candidate image tried
+    # 27 vertices, more than the old default bound of 24; one node is spent per
+    # splitter vertex scanned, and the first splitter is every vertex of both
+    # quivers, so the fourth vertex of that scan passes a cap of 3
     d = synthesize_link(LinkingGraph(((0, 2, 2), (2, 0, 2), (2, 2, 0))))
     qv = quiver(d, P3, endomorphisms(P3))
     assert qv.n_vertices == 27
@@ -148,7 +151,8 @@ def test_quiver_isomorphic_honours_the_search_cap(monkeypatch):
 
 def test_quiver_isomorphic_runs_deeper_than_the_recursion_limit():
     # four unlinked circles over T6 under a 6-cycle: 216 disjoint 6-cycles,
-    # one search level per vertex
+    # more vertices than the recursion limit; the search individualises one
+    # vertex per cycle, 216 levels deep on its explicit stack
     t6 = trivial(6)
     d = synthesize_link(LinkingGraph(((0,) * 4,) * 4))
     qv = quiver(d, t6, [QuandleMap(t6, t6, (1, 2, 3, 4, 5, 0))])
@@ -156,11 +160,10 @@ def test_quiver_isomorphic_runs_deeper_than_the_recursion_limit():
     assert quiver_isomorphic(qv, qv)
 
 
-@pytest.mark.xfail(raises=SearchCapError, strict=True,
-                   reason="the backtracker cannot tell the symmetric vertices apart")
 def test_quiver_isomorphic_matches_a_renumbered_symmetric_quiver(monkeypatch):
     # the quiver of the test above against a renumbering of itself: 216
-    # disjoint 6-cycles, which colour refinement would match in a few steps
+    # disjoint 6-cycles, which no refinement tells apart; individualising one
+    # vertex of each cycle in turn matches them, in 5,182 nodes
     t6 = trivial(6)
     d = synthesize_link(LinkingGraph(((0,) * 4,) * 4))
     qv = quiver(d, t6, [QuandleMap(t6, t6, (1, 2, 3, 4, 5, 0))])
@@ -170,18 +173,31 @@ def test_quiver_isomorphic_matches_a_renumbered_symmetric_quiver(monkeypatch):
 
 def test_quiver_isomorphic_node_costs_the_degree(monkeypatch):
     # four unlinked circles over T6 under the 6-cycle and (0 0 1 2 3 4), against
-    # a renumbering of itself: a node checks only the placed neighbours of the
-    # vertex, so 10^5 nodes take well under a second, not O(n) checks each
+    # a renumbering of itself: a node is one splitter vertex scanned, at the cost
+    # of its degree. The search takes 9,094 nodes, the summed sizes of the 1,296
+    # splitter cells it pops; the first holds all 2 * 1,296 vertices of both
+    # quivers, and three individualisations make the colouring discrete
     t6 = trivial(6)
     d = synthesize_link(LinkingGraph(((0,) * 4,) * 4))
     endos = [QuandleMap(t6, t6, (1, 2, 3, 4, 5, 0)), QuandleMap(t6, t6, (0, 0, 1, 2, 3, 4))]
     qv = quiver(d, t6, endos)
     other = _renumbered(qv, random.Random(0))
-    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "100000")
+    budgets = []
+
+    class Recording(Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(importlib.import_module("quandles.quiver"), "Budget", Recording)
     start = time.perf_counter()
-    with pytest.raises(SearchCapError, match="^quiver search exceeded 100000 nodes$"):
-        quiver_isomorphic(qv, other)
-    assert qv.n_vertices == 1296 and time.perf_counter() - start < 5
+    assert quiver_isomorphic(qv, other)
+    assert qv.n_vertices == 1296 and time.perf_counter() - start < 1
+    assert budgets[-1].nodes == 9094
+    monkeypatch.setenv("QUANDLE_SEARCH_CAP", "9093")
+    for q2 in (other, qv):  # one node short, under either numbering
+        with pytest.raises(SearchCapError, match="^quiver search exceeded 9093 nodes$"):
+            quiver_isomorphic(qv, q2)
 
 
 def test_quiver_isomorphic_has_no_default_vertex_bound():
@@ -196,6 +212,48 @@ def test_quiver_isomorphic_has_no_default_vertex_bound():
         other = _renumbered(other, random.Random(1))
         assert nx.is_isomorphic(_networkx(qv), _networkx(other)) == same
         assert quiver_isomorphic(qv, other) == same
+
+
+def test_quiver_isomorphic_answers_diagrams_that_share_a_linking_graph():
+    # over P(n, sigma) the quiver depends only on the linking graph (the paper's
+    # link result). Each seeded graph with 3-4 components and weights -3..3 gives
+    # two diagrams, its edges threaded in two orders, and one quiver is
+    # renumbered; True is certified by the edge-by-edge check of the bijection
+    rng = random.Random(4)
+    qs = [P3, p_quandle(3, parse_cycles("(1 2 3)", 3)), p_quandle(3, parse_cycles("(1 2)", 3))]
+    endos = [endomorphisms(q) for q in qs]
+    differ = 0
+    for _ in range(8):
+        m = rng.choice((3, 4))
+        w = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                w[i][j] = w[j][i] = rng.randint(-3, 3)
+        graph = LinkingGraph(w)
+        order = [(i, j)[::rng.choice((1, -1))]
+                 for i in range(m) for j in range(i + 1, m) if w[i][j]]
+        rng.shuffle(order)
+        d1, d2 = synthesize_link(graph), synthesize_link(graph, edge_order=order)
+        differ += d1.to_text() != d2.to_text()
+        for q, s in zip(qs, endos):
+            qa, qb = quiver(d1, q, s), _renumbered(quiver(d2, q, s), rng)
+            start = time.perf_counter()
+            assert quiver_isomorphic(qa, qb), (w, order, q.m)
+            assert time.perf_counter() - start < 0.25
+    assert differ >= 6
+
+
+def test_quiver_isomorphic_tells_a_6_cycle_from_two_3_cycles():
+    # every vertex has one edge in and one out, so refinement alone splits
+    # nothing: each individualisation is tried, refined and abandoned
+    def cycles(*lengths):
+        starts = [sum(lengths[:k]) for k in range(len(lengths))]
+        edges = tuple((s + i, s + (i + 1) % k) for s, k in zip(starts, lengths) for i in range(k))
+        return Quiver(tuple(range(6)), tuple(range(6)), edges)
+
+    six, two = cycles(6), cycles(3, 3)
+    assert not quiver_isomorphic(six, two) and not quiver_isomorphic(two, six)
+    assert quiver_isomorphic(six, six) and quiver_isomorphic(two, two)
 
 
 def test_quiver_dot_golden_file():
