@@ -59,10 +59,8 @@ def _power(var: str, exp: int) -> str:
 def quandle_polynomial(q: Quandle) -> TwoVarPolynomial:
     """qp(s,t) = sum over x of s^r(x) t^c(x) with r(x) = #{y : x*y = x} and
     c(x) = #{y : y*x = y}."""
-    t = q.table
-    rng = range(q.m)
-    r = [sum(1 for y in rng if t[x][y] == x) for x in rng]
-    c = [sum(1 for y in rng if t[y][x] == y) for x in rng]
+    r = [row.count(x) for x, row in enumerate(q.table)]
+    c = [sum(map(int.__eq__, col, q.elements)) for col in zip(*q.table)]
     return TwoVarPolynomial(Counter(zip(r, c)))
 
 

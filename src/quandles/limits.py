@@ -33,9 +33,7 @@ class Budget:
         if cap < 0:
             raise ValueError(
                 f"QUANDLE_SEARCH_CAP must be a non-negative integer, not {env!r}")
-        self.what = what
-        self.cap = cap
-        self.nodes = nodes
+        self.what, self.cap, self.nodes = what, cap, nodes
         if nodes > cap:
             raise SearchCapError(self)
 

@@ -12,7 +12,8 @@ found first is the lexicographically first one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 
 from .limits import Budget
 from .quandle import Quandle
@@ -68,10 +69,10 @@ class FiniteGroupTable:
         for x in range(n):
             if self.identity not in t[x]:
                 raise ValueError(f"element {x} has no inverse")
-        # Light's test: the b with (ab)c = a(bc) for all a, c are closed under
-        # the product, so b runs over generators only; the identity passes
-        if any(t[t[a][b]] != tuple(map(t[a].__getitem__, t[b]))
-               for b in _generators(t, [self.identity]) for a in range(n)):
+        # Light's test: the b with (ab)c = a(bc) for all a, c are closed under the
+        # product, so b runs over generators (so n > 1): itemgetter(*t[b])(t[a]) is a(bc)
+        gets = [(b, itemgetter(*t[b])) for b in _generators(t, [self.identity])]
+        if any(t[row[b]] != get(row) for b, get in gets for row in t):
             a, b, c = next((a, b, c) for a, b, c in product(range(n), repeat=3)
                            if t[t[a][b]][c] != t[a][t[b][c]])
             raise ValueError(f"associativity fails at ({a},{b},{c})")
@@ -90,8 +91,7 @@ class FiniteGroupTable:
         return any(self.element_order(a) == self.order for a in range(self.order))
 
     def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.order) for b in range(self.order))
+        return self.table == tuple(zip(*self.table))
 
 
 def _generators(table, start=()) -> list:
@@ -144,9 +144,9 @@ def is_isomorphic(x: Quandle, y: Quandle) -> QuandleMap | None:
 
 def _group_table(images):
     """Composition table of a list of permutations given as image tuples, which
-    must be closed; row f, column g holds f after g. Only the rows of
-    generators, images not reached from earlier ones, are composed point by
-    point, and that checks closure; the row of b h is row b read through row h.
+    must be closed; row f, column g holds f after g. Only generators' rows (of
+    images not reached from earlier ones) are composed, each by one itemgetter
+    over all images, and that checks closure; row b h is row b read through row h.
     Each of the |G|^2 cells is a node of one Budget, charged before any is built."""
     Budget("group", len(images) ** 2)
     index = {image: i for i, image in enumerate(images)}
@@ -155,8 +155,9 @@ def _group_table(images):
         if images:  # the identity's row
             rows[index[tuple(range(len(images[0])))]] = list(range(len(images)))
         for a, f in enumerate(images):
-            if rows[a] is None:
-                rows[a] = [index[tuple(map(f.__getitem__, g))] for g in images]
+            if rows[a] is None:  # so two or more images: f after each g, concatenated
+                cells = itemgetter(*chain.from_iterable(images))(f)
+                rows[a] = list(map(index.__getitem__, zip(*[iter(cells)] * len(f))))
                 gens.append(rows[a])
                 reached = [h for h, row in enumerate(rows) if row is not None]
                 for h in reached:  # grows while walked: closes it under gens
@@ -176,9 +177,9 @@ def automorphism_group(q: Quandle):
 
 
 def inner_group(q: Quandle) -> FiniteGroupTable:
-    """Closure of the column bijections S_y under composition."""
+    """The identity (for the empty quandle) and the columns S_y, closed under composition."""
     gens = set(q._columns[0])  # the distinct columns
-    elems, pending = set(gens), list(gens)
+    elems, pending = {*gens, tuple(q.elements)}, list(gens)
     while pending:
         a = pending.pop()
         for c in (tuple(map(a.__getitem__, b)) for b in gens):
@@ -214,5 +215,4 @@ def relabel_quandle(q: Quandle, order) -> Quandle:
     if sorted(order) != list(range(q.m)):
         raise ValueError("order must be a permutation of the elements")
     pos = {old: new for new, old in enumerate(order)}
-    table = [[pos[q.table[order[i]][order[j]]] for j in range(q.m)] for i in range(q.m)]
-    return Quandle(table)
+    return Quandle([[pos[q.table[order[i]][order[j]]] for j in range(q.m)] for i in range(q.m)])

@@ -1,15 +1,19 @@
 """Finite quandles as validated Cayley tables on {0, ..., m-1}.
 
-``table[x][y]`` is x*y. Construction checks all three axioms exhaustively:
-idempotence, bijective columns, and right self-distributivity
-(x*y)*z = (x*z)*(y*z). The inverse column operation is written bar(x, y),
-the unique z with z*y = x.
+``table[x][y]`` is x*y; column y is the bijection S_y: x -> x*y. Construction
+checks idempotence, bijective columns and right self-distributivity
+(x*y)*z = (x*z)*(y*z), that is S_z S_y = S_(y*z) S_z: whole columns composed
+once per distinct S_z and new pair of column ids, O(k m^2) for k distinct
+columns. Only a failure scans the cells, for the first witness. The inverse
+column operation is written bar(x, y), the unique z with z*y = x.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import product
+from operator import itemgetter
 
 from .permutations import Permutation
 
@@ -29,8 +33,7 @@ class Quandle:
     def __init__(self, table):
         table = tuple(tuple(row) for row in table)
         _validate(table)
-        self.table = table
-        self.m = len(table)
+        self.table, self.m = table, len(table)
 
     def op(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -134,19 +137,23 @@ def _validate(table) -> None:
     for x in range(m):
         if table[x][x] != x:
             raise AxiomError("idempotence", x, f"{x}*{x} = {table[x][x]} != {x}")
-    for y in range(m):
-        col = [table[x][y] for x in range(m)]
+    ids, col_id = {}, []  # the distinct columns, and the id of each element's column
+    for y, col in enumerate(zip(*table)):
         if len(set(col)) != m:
-            raise AxiomError("column-bijection", y, f"column {y} is not a bijection: {col}")
-    for x in range(m):
-        for y in range(m):
-            xy = table[x][y]
-            for z in range(m):
-                if table[xy][z] != table[table[x][z]][table[y][z]]:
-                    raise AxiomError(
-                        "self-distributivity", (x, y, z),
-                        f"({x}*{y})*{z} = {table[xy][z]} but "
-                        f"({x}*{z})*({y}*{z}) = {table[table[x][z]][table[y][z]]}")
+            raise AxiomError("column-bijection", y, f"column {y} is not a bijection: {list(col)}")
+        col_id.append(ids.setdefault(col, len(ids)))
+    # c = S_z, y*z = c[y], and itemgetter(*f)(g) is g after f (an int at m = 1). The
+    # least x where two composites differ is the witness's x; its (y, z) are scanned
+    distinct, get = list(ids), [itemgetter(*col) for col in ids]
+    x = min((next(w for w, u, v in zip(range(m), f, g) if u != v) for i, c in enumerate(distinct)
+             for j, k in set(zip(col_id, map(col_id.__getitem__, c)))
+             if (f := get[j](c)) != (g := get[i](distinct[k]))), default=m)
+    if x < m:
+        y, z = next((y, z) for y, z in product(range(m), repeat=2)
+                    if table[table[x][y]][z] != table[table[x][z]][table[y][z]])
+        raise AxiomError("self-distributivity", (x, y, z), f"({x}*{y})*{z} = "
+                         f"{table[table[x][y]][z]} but ({x}*{z})*({y}*{z}) = "
+                         f"{table[table[x][z]][table[y][z]]}")
 
 
 def from_table(table) -> Quandle:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .cohomology import Cocycle2, is_2cocycle
 from .invariants import _Terms
@@ -81,17 +82,13 @@ def quiver(d: LinkDiagram, q: Quandle, s) -> Quiver:
         if not f.verify():
             raise ValueError(f"map {f.image} is not an endomorphism")
     verts = colorings(d, q)
-    index = {v.colors: i for i, v in enumerate(verts)}
-    edges = []
-    movers = [f.image.__getitem__ for f in s]
-    for i, v in enumerate(verts):
-        for move in movers:
-            j = index.get(tuple(map(move, v.colors)))
-            if j is None:
-                raise RuntimeError("endomorphism image is not a coloring")
-            edges.append((i, j))
-    labels = tuple(v.base_colors(d) for v in verts)
-    return Quiver(tuple(verts), labels, tuple(edges))
+    # recolor[i](f) is f after coloring i, keyed alike: an int for a one-arc diagram
+    recolor = [itemgetter(*v.colors) for v in verts]
+    index = {get(range(q.m)): i for i, get in enumerate(recolor)}
+    edges = [(i, index.get(get(f.image))) for i, get in enumerate(recolor) for f in s]
+    if any(j is None for _, j in edges):
+        raise RuntimeError("endomorphism image is not a coloring")
+    return Quiver(tuple(verts), tuple(v.base_colors(d) for v in verts), tuple(edges))
 
 
 def quiver_isomorphic(q1: Quiver, q2: Quiver, max_vertices: int | None = None) -> bool:

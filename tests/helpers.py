@@ -4,6 +4,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 from quandles import (
+    AxiomError,
     CochainComplexSlice,
     Coeff,
     Coloring,
@@ -14,6 +15,8 @@ from quandles import (
     all_permutations,
     cochain_slice,
     compose,
+    conjugacy_class_representatives,
+    format_cycles,
     linalg,
     parse_diagram,
 )
@@ -28,6 +31,40 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def load_diagram(name: str) -> LinkDiagram:
     return parse_diagram((FIXTURES / name).read_text())
+
+
+# the constructor expressions whose CLI answers and group tables the oracles check
+ORACLE_QUANDLES = ([f"T {m}" for m in range(1, 6)] + [f"R {m}" for m in range(3, 8)]
+                   + [f"P {n} {format_cycles(s)}" for n in range(1, 5)
+                      for s in conjugacy_class_representatives(n)])
+
+
+def cell_scan_validate(table) -> None:
+    """The quandle axioms checked cell by cell, self-distributivity on all m^3
+    triples, raising the first AxiomError in the constructor's order."""
+    m = len(table)
+    for x, row in enumerate(table):
+        if len(row) != m:
+            raise AxiomError("shape", x, f"row {x} has length {len(row)}, expected {m}")
+        for y, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < m:
+                raise AxiomError("range", (x, y), f"entry {v} at ({x},{y}) outside 0..{m - 1}")
+    for x in range(m):
+        if table[x][x] != x:
+            raise AxiomError("idempotence", x, f"{x}*{x} = {table[x][x]} != {x}")
+    for y in range(m):
+        col = [table[x][y] for x in range(m)]
+        if len(set(col)) != m:
+            raise AxiomError("column-bijection", y, f"column {y} is not a bijection: {col}")
+    for x in range(m):
+        for y in range(m):
+            xy = table[x][y]
+            for z in range(m):
+                if table[xy][z] != table[table[x][z]][table[y][z]]:
+                    raise AxiomError(
+                        "self-distributivity", (x, y, z),
+                        f"({x}*{y})*{z} = {table[xy][z]} but "
+                        f"({x}*{z})*({y}*{z}) = {table[table[x][z]][table[y][z]]}")
 
 
 def raw_quandle(table):
@@ -208,6 +245,24 @@ def associativity_witness(table):
         if table[table[a][b]][c] != table[a][table[b][c]]:
             return (a, b, c)
     return None
+
+
+def group_table_error(table):
+    """The message FiniteGroupTable(table) raises, found by brute force, else
+    None: entries out of range, then no two-sided identity, then an element
+    with no right inverse, then the first non-associative triple."""
+    n = len(table)
+    if any(len(row) != n or not all(0 <= v < n for v in row) for row in table):
+        return "table entries must index elements"
+    identities = [e for e in range(n)
+                  if all(table[e][x] == x and table[x][e] == x for x in range(n))]
+    if not identities:
+        return "no identity element"
+    for x in range(n):
+        if identities[0] not in table[x]:
+            return f"element {x} has no inverse"
+    witness = associativity_witness(table)
+    return None if witness is None else "associativity fails at ({},{},{})".format(*witness)
 
 
 def group_mul_table(perms):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quandles
-from helpers import FIXTURES, cycle_text
+from helpers import FIXTURES, ORACLE_QUANDLES, cycle_text
 from quandles import (
     SearchCapError,
     automorphism_group,
@@ -466,9 +466,26 @@ def test_a_search_stopped_part_way_prints_nothing(capsys, monkeypatch, argv, cap
     assert run(capsys, *argv, *extra) == (1, "", f"error: hom search exceeded {cap} nodes\n")
 
 
-ORACLE_QUANDLES = ([f"T {m}" for m in range(1, 6)] + [f"R {m}" for m in range(3, 8)]
-                   + [f"P {n} {format_cycles(s)}" for n in range(1, 5)
-                      for s in conjugacy_class_representatives(n)])
+@pytest.mark.parametrize("argv,out", [
+    (("inn", "T 3"), "|Inn| = 1, cyclic: yes\n"),
+    (("inn", "T 3", "--json"), '{"cyclic": true, "element_orders": [1], "order": 1}\n'),
+    (("aut", "T 1"), "|Aut| = 1\n()\n"),
+    (("aut", "T 1", "--json"), '{"maps": [[0]], "order": 1}\n'),
+    (("aut", "T 2"), "|Aut| = 2\n()\n(0 1)\n"),
+    (("aut", "T 2", "--json"), '{"maps": [[0, 1], [1, 0]], "order": 2}\n'),
+])
+def test_groups_of_order_one_and_two(capsys, argv, out):
+    # itemgetter with one index gives an int: a one-element table must not
+    # compare it with a row, and an order-2 table composes one generator row
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_groups_of_the_empty_quandle(capsys, tmp_path):
+    # its one map is the empty map; Inn, generated by no column, is that map too
+    path = tmp_path / "empty.json"
+    path.write_text('{"order": 0, "table": []}')
+    assert run(capsys, "aut", str(path)) == (0, "|Aut| = 1\n()\n", "")
+    assert run(capsys, "inn", str(path)) == (0, "|Inn| = 1, cyclic: yes\n", "")
 
 
 @pytest.mark.parametrize("source", ORACLE_QUANDLES)

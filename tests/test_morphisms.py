@@ -1,16 +1,20 @@
 import math
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ORACLE_QUANDLES,
     associativity_witness,
     brute_force_automorphisms,
     brute_force_homs,
     composition_table,
     conjugation_quandle,
     group_mul_table,
+    group_table_error,
     inner_images,
     symmetric_group_elements,
 )
@@ -37,6 +41,7 @@ from quandles import (
     relabel_quandle,
     trivial,
 )
+from quandles.cli import load_quandle
 from quandles.morphisms import _group_table
 
 P3 = p_quandle(2, parse_cycles("(1 2)", 2))
@@ -158,6 +163,27 @@ def test_group_table_composes_only_generator_rows():
     assert 0 < lookups <= math.ceil(math.log2(120)) * 120 * 15
 
 
+@pytest.mark.parametrize("source", ORACLE_QUANDLES)
+def test_group_table_errors_match_the_brute_force_scan(source):
+    # Aut and Inn of each oracle quandle, each with one cell changed to the next
+    # element: every cell up to order 24, a seeded sample of 40 cells above
+    q = load_quandle(source)
+    for group in (automorphism_group(q)[1], inner_group(q)):
+        t, n = group.table, group.order
+        assert group_table_error(t) is None
+        cells = list(product(range(n), repeat=2))
+        for a, b in cells if n <= 24 else random.Random(n).sample(cells, 40):
+            table = [list(row) for row in t]
+            table[a][b] = (t[a][b] + 1) % n
+            expected = group_table_error(table)
+            if expected is None:
+                assert FiniteGroupTable(table).order == n
+            else:
+                with pytest.raises(ValueError) as exc:
+                    FiniteGroupTable(table)
+                assert str(exc.value) == expected, (source, a, b)
+
+
 def test_isomorphism_examples():
     a = p_quandle(3, parse_cycles("(1 2)", 3))
     b = p_quandle(3, parse_cycles("(2 3)", 3))
@@ -239,6 +265,19 @@ def test_finite_group_table_validation():
     for table in ([[1], [0, 1]], [[0, 1], [1, 2]], [[0, -1], [1, 0]]):
         with pytest.raises(ValueError, match="^table entries must index elements$"):
             FiniteGroupTable(table)
+
+
+def test_groups_of_order_one_and_two_pass_the_checks():
+    # Light's test skips the identity, the only element at order 1, so no
+    # one-index itemgetter result is compared with a row
+    one = FiniteGroupTable([[0]])
+    assert (one.order, one.identity, one.is_cyclic(), one.element_orders()) == (1, 0, True, [1])
+    for q, order_ in ((from_table([]), 1), (trivial(1), 1), (trivial(2), 2), (trivial(3), 6)):
+        maps, group = automorphism_group(q)
+        assert group.order == len(maps) == order_
+        assert group.table == composition_table([f.image for f in maps]).table
+    assert inner_group(trivial(3)).table == ((0,),)
+    assert inner_group(from_table([])).table == ((0,),)
 
 
 def test_quandle_map_compose():

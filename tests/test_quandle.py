@@ -43,6 +43,18 @@ def test_from_table_accepts_valid():
     assert from_table(T3_TABLE) == trivial(3)
 
 
+def test_orders_zero_one_and_two_validate():
+    # with one point, itemgetter gives an int on both sides of the column law
+    assert Quandle([]).m == 0 and Quandle([]).table == ()
+    assert Quandle([[0]]).table == ((0,),)
+    assert Quandle([[0, 0], [1, 1]]) == trivial(2)
+    for bad, axiom in (([[1]], "range"), ([[0, 1]], "shape"),
+                       ([[0, 0], [0, 1]], "column-bijection")):
+        with pytest.raises(AxiomError) as exc:
+            Quandle(bad)
+        assert exc.value.axiom == axiom
+
+
 def test_from_table_rejects_bad_column():
     with pytest.raises(AxiomError) as exc:
         from_table([[0, 0], [0, 1]])
