@@ -30,7 +30,7 @@ entry. Every other face acts on the entries before x_i by a column, which
 keeps x_1 and each inert entry in its Inn-orbit. So a block is spanned by the
 tuples with one word of the orbits of x_1 and of the inert entries (of pairs
 {O, rho(O)}, as a relation swaps x_i for rho(x_i)). H^n is the sum of the
-blocks' groups; a trivial column makes them small, so it allows degree 4.
+blocks' groups, for n = 2..4; the cochain budget alone bounds the work.
 """
 
 from __future__ import annotations
@@ -182,16 +182,15 @@ class CochainComplexSlice:
 
 
 def _blocks(q: Quandle, n: int, rho, split: bool):
-    """The slices of the degree-n blocks that hold an n-tuple (module
-    docstring), or the whole slice if not split or q is one block. The degree
-    is 2..3, or 2..4 with a trivial column. Budgets are charged before what
-    they count is built: with nothing inert, the blocks' dense cells, as a
-    block of first entries P holds |P|(m-1)^(k-1) k-tuples and |P|m^(n-1)
-    relation n-tuples (n rows each); else the tuples to list, then the cells."""
+    """The slices of the degree-n blocks, 2 <= n <= 4, that hold an n-tuple
+    (module docstring), or the whole slice if not split or q is one block.
+    Budgets are charged before what they count is built: with nothing inert,
+    the blocks' dense cells, as a block of first entries P holds |P|(m-1)^(k-1)
+    k-tuples and |P|m^(n-1) relation n-tuples (n rows each); else the tuples
+    to list, then the cells."""
+    if not 2 <= n <= 4:
+        raise ValueError(f"degree {n} outside supported range 2..4")
     columns = _columns(q)
-    top = 4 if any(columns[1]) else 3
-    if not 2 <= n <= top:
-        raise ValueError(f"degree {n} outside supported range 2..{top}")
     # each element's orbit: the least point of its Inn-orbit O, or of O and rho(O);
     # its letter of a block key is (orbit,) if it is inert, else ()
     least = q._orbits[0] if split else [0] * q.m
@@ -205,30 +204,31 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
         whole = sizes[1] * (sizes[0] + sizes[2] + n * tuples)
         Budget("cochain", whole * sum(p * p for p in Counter(orbit).values()) // q.m**2)
     groups = {}
-    for slot, k in enumerate((n - 1, n, n + 1) + ((n,) if tuples else ())):
+    for slot, k in ((1, n), (0, n - 1), (2, n + 1)) + (((3, n),) if tuples else ()):
         level = [((x,), (orbit[x],)) for x in q.elements]  # (tuple, key) pairs
         for _ in range(k - 1):  # the fourth slot lists every n-tuple for rho
             level = [(t + (x,), key + letters[x]) for t, key in level
                      for x in q.elements if slot == 3 or x != t[-1]]
-        for t, key in level:
-            groups.setdefault(key, ([], [], [], []))[slot].append(t)
+        for t, key in level:  # the n-tuples, listed first, name the blocks kept
+            if slot == 1 or key in groups or not split:
+                groups.setdefault(key, ([], [], [], []))[slot].append(t)
     Budget("cochain", sum(len(b) * (len(lo) + len(hi) + n * len(ts))
                           for lo, b, hi, ts in groups.values()))
     blocks = list(groups.values()) or [((), (), (), ())]  # one block is the whole slice
     if len(blocks) > 1:  # blocks of n-tuples alone hold zero matrices: they make one slice
         lone = [t for lo, b, hi, ts in blocks if not (lo or hi or ts) for t in b]
-        blocks = [bs for bs in blocks if bs[1] and (bs[0] or bs[2] or bs[3])]
+        blocks = [bs for bs in blocks if bs[0] or bs[2] or bs[3]]
         blocks += [[(), lone, (), ()]] if lone else []
     for bases in blocks:  # built by the public cochain_slice, so a trace of it sees each
         yield cochain_slice(q, n, rho, (columns, bases))
 
 
 def cochain_slice(q: Quandle, n: int, rho=None, _block=None) -> CochainComplexSlice:
-    """Build the whole degree-n slice, 2 <= n <= 3, or n = 4 if q has a trivial
-    column. Its dense cells, with one relation row per n-tuple and position
-    before duplicates go, are nodes of one Budget, charged before any is built.
-    With _block, the columns and the bases (below, basis, above, n-tuples) of a
-    block that `_blocks` has charged, it builds that block's slice."""
+    """Build the whole degree-n slice, 2 <= n <= 4. Its dense cells, with one
+    relation row per n-tuple and position before duplicates go, are nodes of
+    one Budget, charged before any is built. With _block, the columns and the
+    bases (below, basis, above, n-tuples) of a block that `_blocks` has
+    charged, it builds that block's slice."""
     if _block is None:
         return next(_blocks(q, n, rho, split=False))
     columns, (below, basis, above, tuples) = _block

@@ -74,10 +74,10 @@ def test_cohomology_json_names_the_coefficients(capsys):
         0, '{"coeff": "Z3", "group": "F3^4", "rank": 4, "torsion": []}\n', "")
 
 
-def test_cohomology_degree_four_needs_a_trivial_column(capsys):
+def test_cohomology_degree_four_with_or_without_a_trivial_column(capsys):
     assert run(capsys, "cohomology", "P 7 (1 2 3)", "--degree", "4") == (0, "Z^750\n", "")
     assert run(capsys, "cohomology", "R 4", "--degree", "4") == (
-        1, "", "error: degree 4 outside supported range 2..3\n")
+        0, "Z^2 (+) Z/2 (+) Z/2 (+) Z/2 (+) Z/2\n", "")
 
 
 def test_show_and_json_agree(capsys):
@@ -352,10 +352,13 @@ def test_group_table_answers_at_a_cap_of_its_cells(capsys, monkeypatch, argv, ce
     # of the whole slice's 4,320 cells; the 156 tuples listed first are
     # charged apart, and fewer
     (("cohomology", "P 3 (1 2 3)", "--degree", "3"), "cochain", 900, "Z^2"),
+    # R5 is one block: c_3, c_4, c_5 = 5 * 4^(k-1) = 80, 320, 1280, so
+    # delta_in and delta_out hold 320 * (80 + 1280) cells
+    (("cohomology", "R 5", "--degree", "4"), "cochain", 320 * (80 + 1280), "Z/5"),
     # 7 homs, so 7^3 axiom checks of the Hom quandle; the hom search takes fewer
     (("homquandle", "P 2 (1 2)", "P 2 (1 2)"), "homquandle", 7**3,
      "Hom quandle of order 7"),
-], ids=["cohomology", "cohomology-blocks", "homquandle"])
+], ids=["cohomology", "cohomology-blocks", "cohomology-R5-degree4", "homquandle"])
 def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, cells, head):
     monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cells))
     code, out, _ = run(capsys, *argv)
@@ -368,6 +371,8 @@ def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, 
 
 @pytest.mark.parametrize("argv, message", [
     (("cohomology", "R 40", "--degree", "3"), "cochain search exceeded 10000000 nodes"),
+    # one block of 1512 * (252 + 9072) = 14,097,888 cells
+    (("cohomology", "R 7", "--degree", "4"), "cochain search exceeded 10000000 nodes"),
     (("homquandle", "T 3", "T 10"), "homquandle search exceeded 10000000 nodes"),
     (("cohomology", "R 3", "--coeff", "Z" + "9" * 400),
      "primality search exceeded 10000000 nodes"),
@@ -381,7 +386,7 @@ def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, 
     (("verify", "P 3\u0663\u0663\u0663\u0663"), "table search exceeded 10000000 nodes"),
     # a linking weight w is 2|w| crossings, charged before any is made
     (("synth", str(FIXTURES / "linking_1e8.json")), "crossing search exceeded 10000000 nodes"),
-], ids=["cohomology-R40-degree3", "homquandle-T3-T10", "modulus-400-nines",
+], ids=["cohomology-R40-degree3", "cohomology-R7-degree4", "homquandle-T3-T10", "modulus-400-nines",
         "modulus-2^61-1", "phi-theta-100000", "verify-T20000", "verify-P-arabic-digits",
         "synth-weight-10^8"])
 def test_oversized_builds_stop_at_once(capsys, monkeypatch, argv, message):
