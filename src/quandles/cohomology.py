@@ -1,4 +1,4 @@
-"""Quandle cohomology in low degrees over Z, Q, and Z_p, by exact linear algebra.
+"""Quandle cohomology in degrees n >= 2 over Z, Q, and Z_p, by exact linear algebra.
 
 Chains: C_n is free on X^n; the degenerate subcomplex (tuples with an adjacent
 repeat) is quotiented away by deleting those basis tuples, which the boundary
@@ -30,7 +30,7 @@ entry. Every other face acts on the entries before x_i by a column, which
 keeps x_1 and each inert entry in its Inn-orbit. So a block is spanned by the
 tuples with one word of the orbits of x_1 and of the inert entries (of pairs
 {O, rho(O)}, as a relation swaps x_i for rho(x_i)). H^n is the sum of the
-blocks' groups, for n = 2..4; the cochain budget alone bounds the work.
+blocks' groups, for every n >= 2; the cochain budget alone bounds the work.
 """
 
 from __future__ import annotations
@@ -102,6 +102,14 @@ def _columns(q: Quandle):
     return cols, [col == identity for col in cols]
 
 
+def _charge_degree(n: int) -> None:
+    """Refuse n < 2, and charge n^2 nodes before any power of m is formed: the
+    listing builds tuples of up to n+1 entries one entry at a time."""
+    if n < 2:
+        raise ValueError(f"degree {n} is below 2")
+    Budget("cochain", n * n)
+
+
 def boundary_matrix(q: Quandle, n: int):
     """Matrix of the degree-n boundary on the non-degenerate bases.
 
@@ -110,8 +118,7 @@ def boundary_matrix(q: Quandle, n: int):
     It is the transpose of the coboundary rows that `cochain_slice` builds,
     whose dense cells are nodes of one Budget, charged before any is built.
     """
-    if not 2 <= n <= 4:
-        raise ValueError(f"degree {n} outside supported range 2..4")
+    _charge_degree(n)
     Budget("cochain", q.m**2 * (q.m - 1) ** (2 * n - 3))  # c_n * c_(n-1), c_k = m(m-1)^(k-1)
     lower = tuple_basis(q, n - 1)
     rows = _coboundary_rows(_columns(q), tuple_basis(q, n), lower)
@@ -182,14 +189,13 @@ class CochainComplexSlice:
 
 
 def _blocks(q: Quandle, n: int, rho, split: bool):
-    """The slices of the degree-n blocks, 2 <= n <= 4, that hold an n-tuple
-    (module docstring), or the whole slice if not split or q is one block.
-    Budgets are charged before what they count is built: with nothing inert,
-    the blocks' dense cells, as a block of first entries P holds |P|(m-1)^(k-1)
-    k-tuples and |P|m^(n-1) relation n-tuples (n rows each); else the tuples
-    to list, then the cells."""
-    if not 2 <= n <= 4:
-        raise ValueError(f"degree {n} outside supported range 2..4")
+    """The slices of the degree-n blocks, n >= 2, that hold an n-tuple (module
+    docstring), or the whole slice if not split or q is one block. Budgets
+    are charged before what they count is built: n^2 first; then, with
+    nothing inert, the blocks' dense cells, as a block of first entries P
+    holds |P|(m-1)^(k-1) k-tuples and |P|m^(n-1) relation n-tuples (n rows
+    each); else the tuples to list, then the cells."""
+    _charge_degree(n)
     columns = _columns(q)
     # each element's orbit: the least point of its Inn-orbit O, or of O and rho(O);
     # its letter of a block key is (orbit,) if it is inert, else ()
@@ -206,9 +212,10 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
     groups = {}
     for slot, k in ((1, n), (0, n - 1), (2, n + 1)) + (((3, n),) if tuples else ()):
         level = [((x,), (orbit[x],)) for x in q.elements]  # (tuple, key) pairs
-        for _ in range(k - 1):  # the fourth slot lists every n-tuple for rho
-            level = [(t + (x,), key + letters[x]) for t, key in level
-                     for x in q.elements if slot == 3 or x != t[-1]]
+        for _ in range(k - 1):  # the fourth slot lists every n-tuple for rho; only
+            # the last step stays lazy, so a tuple no block keeps goes as it is made
+            level = ((t + (x,), key + letters[x]) for t, key in list(level)
+                     for x in q.elements if slot == 3 or x != t[-1])
         for t, key in level:  # the n-tuples, listed first, name the blocks kept
             if slot == 1 or key in groups or not split:
                 groups.setdefault(key, ([], [], [], []))[slot].append(t)
@@ -224,7 +231,7 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
 
 
 def cochain_slice(q: Quandle, n: int, rho=None, _block=None) -> CochainComplexSlice:
-    """Build the whole degree-n slice, 2 <= n <= 4. Its dense cells, with one
+    """Build the whole degree-n slice, n >= 2. Its dense cells, with one
     relation row per n-tuple and position before duplicates go, are nodes of
     one Budget, charged before any is built. With _block, the columns and the
     bases (below, basis, above, n-tuples) of a block that `_blocks` has

@@ -48,11 +48,6 @@ def rank(a, p: int | None = None) -> int:
     return sum(1 for d in smith_normal_form(a) if p is None or d % p)
 
 
-def in_column_span(a, v, p: int | None = None) -> bool:
-    """Whether v lies in the column span of a over Q or GF(p)."""
-    return rank(a, p) == rank([row + [vi] for row, vi in zip(a, v)], p)
-
-
 def integer_kernel_basis(a, cols: int | None = None):
     """Basis of ker(a) as a sublattice of Z^cols (saturated, hence a direct summand).
 

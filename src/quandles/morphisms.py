@@ -38,10 +38,6 @@ class QuandleMap:
         return all(f[s[x][y]] == t[f[x]][f[y]]
                    for x in range(self.source.m) for y in range(self.source.m))
 
-    def is_bijective(self) -> bool:
-        return (self.source.m == self.target.m
-                and len(set(self.image)) == self.source.m)
-
     def compose(self, other: "QuandleMap") -> "QuandleMap":
         """self after other."""
         if other.target is not self.source and other.target != self.source:

@@ -48,9 +48,6 @@ class Permutation:
     def __repr__(self) -> str:
         return f"parse_cycles({format_cycles(self)!r}, {self.n})"
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.image))
-
     @cached_property
     def orbit_list(self):
         return orbits(self)
@@ -62,12 +59,6 @@ class Permutation:
 
     def fixed_points(self):
         return [i + 1 for i, v in enumerate(self.image) if v == i + 1]
-
-    def orbit_of(self, point: int) -> tuple:
-        for orb in self.orbit_list:
-            if point in orb:
-                return tuple(orb)
-        raise ValueError(f"point {point} outside 1..{self.n}")
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "image": list(self.image)})

@@ -78,10 +78,6 @@ class Quandle:
                         pending.append((z, moves[start][-1]))
         return least, moves
 
-    def column_perm(self, y: int) -> tuple:
-        """The bijection x -> x*y as an image tuple on {0..m-1}."""
-        return tuple(self.table[x][y] for x in range(self.m))
-
     @property
     def elements(self) -> range:
         return range(self.m)

@@ -27,10 +27,6 @@ class GroupRingElement(_Terms):
 
     coeffs = property(lambda self: self.terms, doc="The coefficient of each power of t.")
 
-    @classmethod
-    def constant(cls, c: int) -> "GroupRingElement":
-        return cls({0: c})
-
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         out = Counter(self.terms)
         out.update(other.terms)  # adds, keeping negative sums, unlike Counter's +

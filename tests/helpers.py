@@ -287,7 +287,7 @@ def composition_table(images):
 def inner_images(q: Quandle):
     """The columns of q closed under composition by repeated squaring of the
     set, sorted."""
-    elems = {q.column_perm(y) for y in q.elements}
+    elems = {tuple(row[y] for row in q.table) for y in q.elements}
     while (grown := elems | {tuple(map(a.__getitem__, b)) for a in elems for b in elems}) != elems:
         elems = grown
     return sorted(elems)
@@ -340,7 +340,7 @@ def p_coloring_tuple_predicate(sigma, weights, combo):
         if combo[j] == 0:
             continue
         twist = sum(weights[i][j] for i in range(m) if i != j and combo[i] == 0)
-        if twist % len(sigma.orbit_of(combo[j])):
+        if twist % next(len(o) for o in sigma.orbit_list if combo[j] in o):
             return False
     return True
 

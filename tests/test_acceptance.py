@@ -91,21 +91,22 @@ def test_criterion_02_one_column_construction_is_a_quandle():
 
 def test_criterion_03_isomorphism_matches_conjugacy_on_s4():
     with criterion(3, "isomorphism iff equal cycle type over S_4 pairs"):
-        perms = [s for s in all_permutations(4) if not s.is_identity()]
+        perms = [s for s in all_permutations(4) if s.image != (1, 2, 3, 4)]
         quandles = {s: p_quandle(4, s) for s in perms}
         for sigma in perms:
             for tau in perms:
                 found = is_isomorphic(quandles[sigma], quandles[tau])
                 assert (found is not None) == (sigma.cycle_type == tau.cycle_type)
                 if found is not None:
-                    assert found.verify() and found.is_bijective()
+                    assert found.verify()
+                    assert len(set(found.image)) == found.source.m == found.target.m
 
 
 def test_criterion_04_automorphism_and_inner_groups():
     with criterion(4, "Aut order = centralizer order, Inn cyclic of sigma's order"):
         for n in range(2, 6):
             for sigma in conjugacy_class_representatives(n):
-                if sigma.is_identity():
+                if sigma.image == tuple(range(1, n + 1)):
                     continue
                 q = p_quandle(n, sigma)
                 maps, aut = automorphism_group(q)
@@ -119,7 +120,7 @@ def test_criterion_05_quandle_polynomial_closed_form():
     with criterion(5, "quandle polynomial matches the closed form, n <= 5"):
         for n in range(2, 6):
             for sigma in all_permutations(n):
-                if sigma.is_identity():
+                if sigma.image == tuple(range(1, n + 1)):
                     continue
                 assert quandle_polynomial(p_quandle(n, sigma)) == \
                     p_polynomial_formula(n, sigma)
@@ -217,7 +218,7 @@ def test_criterion_09_symmetric_cohomology_dimension_one():
             assert sum(r * v for r, v in zip(row, vec)) % 2 == 0
         # not a coboundary: outside the mod-2 column span of delta_in
         d_in = [list(r) for r in sl.delta_in]
-        assert not linalg.in_column_span(d_in, vec, 2)
+        assert linalg.rank(d_in, 2) != linalg.rank([r + [v] for r, v in zip(d_in, vec)], 2)
 
 
 def test_criterion_10_two_component_invariant_formula():

@@ -188,7 +188,7 @@ def test_isomorphism_examples():
     a = p_quandle(3, parse_cycles("(1 2)", 3))
     b = p_quandle(3, parse_cycles("(2 3)", 3))
     f = is_isomorphic(a, b)
-    assert f is not None and f.is_bijective() and f.verify()
+    assert f is not None and len(set(f.image)) == f.source.m == f.target.m and f.verify()
     assert is_isomorphic(a, p_quandle(3, parse_cycles("(1 2 3)", 3))) is None
     assert is_isomorphic(trivial(3), dihedral(3)) is None
     assert is_isomorphic(trivial(3), trivial(4)) is None
@@ -203,7 +203,7 @@ def test_the_empty_quandle_is_isomorphic_to_itself_by_the_empty_map():
 
 def test_isomorphism_matches_conjugacy_up_to_s3():
     for n in (2, 3):
-        perms = [s for s in all_permutations(n) if not s.is_identity()]
+        perms = [s for s in all_permutations(n) if s.image != tuple(range(1, n + 1))]
         for sigma in perms:
             for tau in perms:
                 got = is_isomorphic(p_quandle(n, sigma), p_quandle(n, tau))
@@ -213,7 +213,7 @@ def test_isomorphism_matches_conjugacy_up_to_s3():
 def test_aut_inn_structure_up_to_n4():
     for n in (2, 3, 4):
         for sigma in conjugacy_class_representatives(n):
-            if sigma.is_identity():
+            if sigma.image == tuple(range(1, n + 1)):
                 continue
             q = p_quandle(n, sigma)
             maps, group = automorphism_group(q)

@@ -40,7 +40,7 @@ def test_group_ring_element():
     a = GroupRingElement({0: 5, 2: 4})
     assert str(a) == "5 + 4*t^2"
     assert a.evaluate_at_one() == 9
-    assert a + GroupRingElement({2: -4}) == GroupRingElement.constant(5)
+    assert a + GroupRingElement({2: -4}) == GroupRingElement({0: 5})
     assert str(GroupRingElement({-2: 4, 0: 5})) == "4*t^-2 + 5"
     assert str(GroupRingElement({1: 1})) == "t"
     assert str(GroupRingElement({})) == "0"
@@ -271,7 +271,7 @@ def test_quiver_dot_tiny():
 
 def test_cocycle_invariant_examples():
     theta = theta_cocycle(2)
-    assert cocycle_invariant(HOPF, P3, theta) == GroupRingElement.constant(5)
+    assert cocycle_invariant(HOPF, P3, theta) == GroupRingElement({0: 5})
     assert cocycle_invariant(TORUS, P3, theta) == GroupRingElement({0: 5, 2: 4})
     neg = load_diagram("torus24_neg.lnk")
     assert cocycle_invariant(neg, P3, theta) == GroupRingElement({0: 5, -2: 4})
@@ -280,7 +280,7 @@ def test_cocycle_invariant_examples():
 def test_cocycle_invariant_knot_is_constant():
     theta = theta_cocycle(2)
     count = len(colorings(TREFOIL, P3))
-    assert cocycle_invariant(TREFOIL, P3, theta) == GroupRingElement.constant(count)
+    assert cocycle_invariant(TREFOIL, P3, theta) == GroupRingElement({0: count})
 
 
 def test_cocycle_invariant_at_one_is_coloring_count():
@@ -331,7 +331,7 @@ def test_mixed_colorings_with_several_zero_components():
     assert quiver(d, P3, endomorphisms(P3)).n_vertices == 15
 
     p4 = p_quandle(3, parse_cycles("(1 2 3)", 3))
-    assert cocycle_invariant(d, p4, theta_cocycle(3)) == GroupRingElement.constant(28)
+    assert cocycle_invariant(d, p4, theta_cocycle(3)) == GroupRingElement({0: 28})
     assert len(colorings(d, p4)) == 28
 
 
