@@ -39,6 +39,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import linalg
 from .invariants import SymmetricQuandle
@@ -115,38 +116,38 @@ def boundary_matrix(q: Quandle, n: int):
 
     Rows are indexed by the (n-1)-tuple basis, columns by the n-tuple basis;
     image tuples that are degenerate are dropped (they vanish in the quotient).
-    It is the transpose of the coboundary rows that `cochain_slice` builds,
-    whose dense cells are nodes of one Budget, charged before any is built.
+    It is the transpose of the coboundary rows that `cochain_slice` builds, in
+    the sparse rows of `linalg`. The cells of its shape are nodes of one
+    Budget, charged before any row is built.
     """
     _charge_degree(n)
     Budget("cochain", q.m**2 * (q.m - 1) ** (2 * n - 3))  # c_n * c_(n-1), c_k = m(m-1)^(k-1)
     lower = tuple_basis(q, n - 1)
-    rows = _coboundary_rows(_columns(q), tuple_basis(q, n), lower)
-    return [[row[i] for row in rows] for i in range(len(lower))]
+    return linalg.transpose(_coboundary_rows(_columns(q), tuple_basis(q, n), lower), len(lower))
 
 
 def _coboundary_rows(columns, basis, lower):
-    """One dense row per tuple t of basis: the boundary of t (module docstring)
+    """One sparse row per tuple t of basis: the boundary of t (module docstring)
     on the lower basis, where the degenerate faces are absent and so vanish,
     and the two faces that delete the first or an inert entry cancel: skipped."""
     (cols, inert), index = columns, {t: i for i, t in enumerate(lower)}
-    rows = []
+    rows, nonzero = [], itemgetter(1)
     for t in basis:
-        row = [0] * len(lower)
+        row = {}
         for i, y in enumerate(t[1:], 1):  # face i + 1, whose sign is (-1)^(i+1)
             if inert[y]:
                 continue
             head, tail, sign = t[:i], t[i + 1:], i % 2 * 2 - 1
-            acted = tuple(map(cols[y].__getitem__, head)) + tail
-            for face, coeff in ((head + tail, sign), (acted, -sign)):
-                if face in index:
-                    row[index[face]] += coeff
-        rows.append(row)
+            if (j := index.get(head + tail)) is not None:
+                row[j] = row.get(j, 0) + sign
+            if (j := index.get(tuple(map(cols[y].__getitem__, head)) + tail)) is not None:
+                row[j] = row.get(j, 0) - sign
+        rows.append(tuple(sorted(filter(nonzero, row.items()))))
     return tuple(rows)
 
 
 def _relation_rows(cols, rho, tuples, basis):
-    """Involution relations of the given n-tuples as integer rows over the basis.
+    """Involution relations of the given n-tuples as sparse rows over the basis.
 
     Each row is the indicator of a sum T + T'; coefficients are kept as-is
     (a relation 2*f(T) = 0 must stay 2, it is vacuous mod 2).
@@ -157,12 +158,8 @@ def _relation_rows(cols, rho, tuples, basis):
         for i, y in enumerate(t):
             other = tuple(map(cols[y].__getitem__, t[:i])) + (rho[y],) + t[i + 1:]
             relations.add(tuple(sorted(index[s] for s in (t, other) if s in index)))
-    rows = []
-    for positions in relations - {()}:
-        rows.append(row := [0] * len(basis))
-        for pos in positions:
-            row[pos] += 1  # a position twice in a relation is a 2
-    return tuple(sorted(map(tuple, rows)))
+    return tuple(tuple(Counter(positions).items())  # a position twice is a 2
+                 for positions in sorted(relations - {()}))
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,8 @@ class CochainComplexSlice:
 
     delta_in is the matrix of the coboundary into degree n (shape c_n x c_{n-1});
     delta_out maps out of degree n (shape c_{n+1} x c_n). Their product is zero.
-    relations, when present, are the degree-n involution relation rows.
+    relations, when present, are the degree-n involution relation rows. Each
+    is a tuple of `linalg`'s sparse rows.
     """
 
     quandle: Quandle
@@ -192,9 +190,9 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
     """The slices of the degree-n blocks, n >= 2, that hold an n-tuple (module
     docstring), or the whole slice if not split or q is one block. Budgets
     are charged before what they count is built: n^2 first; then, with
-    nothing inert, the blocks' dense cells, as a block of first entries P
-    holds |P|(m-1)^(k-1) k-tuples and |P|m^(n-1) relation n-tuples (n rows
-    each); else the tuples to list, then the cells."""
+    nothing inert, the cells of the shapes of the blocks' matrices, as a block
+    of first entries P holds |P|(m-1)^(k-1) k-tuples and |P|m^(n-1) relation
+    n-tuples (n rows each); else the tuples to list, then the cells."""
     _charge_degree(n)
     columns = _columns(q)
     # each element's orbit: the least point of its Inn-orbit O, or of O and rho(O);
@@ -231,11 +229,12 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
 
 
 def cochain_slice(q: Quandle, n: int, rho=None, _block=None) -> CochainComplexSlice:
-    """Build the whole degree-n slice, n >= 2. Its dense cells, with one
-    relation row per n-tuple and position before duplicates go, are nodes of
-    one Budget, charged before any is built. With _block, the columns and the
-    bases (below, basis, above, n-tuples) of a block that `_blocks` has
-    charged, it builds that block's slice."""
+    """Build the whole degree-n slice, n >= 2. The cells of its matrices'
+    shapes, with one relation row per n-tuple and position before duplicates
+    go, are nodes of one Budget, charged before any row is built; only the
+    nonzeros are stored. With _block, the columns and the bases (below,
+    basis, above, n-tuples) of a block that `_blocks` has charged, it builds
+    that block's slice."""
     if _block is None:
         return next(_blocks(q, n, rho, split=False))
     columns, (below, basis, above, tuples) = _block
@@ -250,12 +249,12 @@ def _cohomology(sl: CochainComplexSlice, coeff: Coeff) -> AbelianGroupSummary:
     relations = sl.relations or ()
     stacked = sl.delta_out + relations
     r_in = linalg.mat_mul(relations, sl.delta_in) if relations else []
-    c_n = len(sl.basis)
+    c_n, c_below = len(sl.basis), len(sl.basis_below)
     if coeff.kind == "Z":
         coboundaries = sl.delta_in
         if relations:
-            kernel = linalg.integer_kernel_basis(r_in, cols=len(sl.basis_below))
-            coboundaries = linalg.mat_mul(sl.delta_in, linalg.transpose(kernel))
+            kernel = linalg.integer_kernel_basis(r_in, cols=c_below)
+            coboundaries = linalg.mat_mul(sl.delta_in, linalg.transpose(kernel, c_below))
         factors = linalg.smith_normal_form(coboundaries)
         free = c_n - linalg.rank(stacked) - len(factors)
         return AbelianGroupSummary(coeff, free, tuple(d for d in factors if d > 1))
@@ -334,5 +333,4 @@ def two_cocycle_basis(q: Quandle):
     """Integer basis of the degree-2 cocycles, as Cocycle2 values."""
     sl = cochain_slice(q, 2)
     kernel = linalg.integer_kernel_basis(sl.delta_out, cols=len(sl.basis))
-    return [Cocycle2.from_pairs(q.m, {t: v for t, v in zip(sl.basis, vec) if v})
-            for vec in kernel]
+    return [Cocycle2.from_pairs(q.m, {sl.basis[c]: v for c, v in vec}) for vec in kernel]

@@ -1,46 +1,49 @@
 """Exact integer linear algebra for the sparse boundary matrices of cohomology.
 
-Matrices are lists or tuples of rows, each a list or tuple of Python ints;
-zeros are skipped outside Python. One sparse pass, `_eliminate`, takes +-1
-pivots on rows, shortest row first (Dumas, Saunders & Villard, J. Symb.
-Comput. 2001); quandle boundaries have entries in {0, +-1, +-2} and almost
-every pivot is a unit. One dense `_echelon` with least-absolute-value pivots
-reduces the small core that is left. `smith_normal_form` counts a factor 1 per
-pivot and diagonalises the core; the rank over Q (nonzero factors) and over
-GF(p) (factors not divisible by p) are read from the factors.
-`integer_kernel_basis` takes the kernel of the core and back-substitutes it
-through the pivot rows.
+A row is a tuple of (column, value) pairs in increasing column order, with
+no zero value; a matrix is a list or tuple of rows. One sparse pass,
+`_eliminate`, takes +-1 pivots on rows, shortest row first (Dumas, Saunders &
+Villard, J. Symb. Comput. 2001); quandle boundaries have entries in
+{0, +-1, +-2} and almost every pivot is a unit. One dense `_echelon` with
+least-absolute-value pivots reduces the small core that is left.
+`smith_normal_form` counts a factor 1 per pivot and diagonalises the core; the
+rank over Q (nonzero factors) and over GF(p) (factors not divisible by p) are
+read from the factors. `integer_kernel_basis` takes the kernel of the core and
+back-substitutes it through the pivot rows.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
 from math import gcd
+from operator import itemgetter
 
 
 def mat_mul(a, b):
-    """The dense product a*b of list or tuple rows; zeros are skipped in C."""
-    if a and b and len(a[0]) != len(b):
+    """The product a*b; a column of a that names no row of b is a shape mismatch."""
+    if any(row and row[-1][0] >= len(b) for row in a):
         raise ValueError("shape mismatch")
-    width = len(b[0]) if b else 0
-    sparse_b = [list(zip(compress(count(), row), filter(None, row))) for row in b]
-    out = []
+    out, nonzero = [], itemgetter(1)
     for row in a:
-        acc = [0] * width
-        for x, b_row in zip(filter(None, row), compress(sparse_b, row)):
-            for j, v in b_row:
-                acc[j] += x * v
-        out.append(acc)
+        acc = {}
+        for c, x in row:
+            for j, v in b[c]:
+                acc[j] = acc.get(j, 0) + x * v
+        out.append(tuple(sorted(filter(nonzero, acc.items()))))
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
+def transpose(a, cols: int):
+    """The cols rows of the transpose of a, whose columns are all below cols."""
+    out = [[] for _ in range(cols)]
+    for i, row in enumerate(a):
+        for j, v in row:
+            out[j].append((i, v))
+    return list(map(tuple, out))
 
 
 def is_zero_matrix(a) -> bool:
-    return not any(map(any, a))
+    return not any(a)
 
 
 def rank(a, p: int | None = None) -> int:
@@ -48,7 +51,7 @@ def rank(a, p: int | None = None) -> int:
     return sum(1 for d in smith_normal_form(a) if p is None or d % p)
 
 
-def integer_kernel_basis(a, cols: int | None = None):
+def integer_kernel_basis(a, cols: int):
     """Basis of ker(a) as a sublattice of Z^cols (saturated, hence a direct summand).
 
     The core left by the unit pivots is column-reduced with a unit tail on each
@@ -56,10 +59,6 @@ def integer_kernel_basis(a, cols: int | None = None):
     back-substitution through the pivot rows, last pivot first, extends each
     to all of Z^cols. The pivots are +-1, so this stays integral.
     """
-    if cols is None:
-        if not a:
-            raise ValueError("pass cols for a matrix with no rows")
-        cols = len(a[0])
     pivots, core = _eliminate(a)
     pivot_cols = {j for j, _ in pivots}
     free = [c for c in range(cols) if c not in pivot_cols]
@@ -74,14 +73,16 @@ def integer_kernel_basis(a, cols: int | None = None):
         # last pivot first: a pivot row holds no column of an earlier pivot
         for j, r in reversed(pivots):
             x[j] = -r[j] * sum(v * x[c] for c, v in r.items() if c != j)
-        basis.append(x)
+        basis.append(tuple((c, v) for c, v in enumerate(x) if v))
     return basis
 
 
 def smith_normal_form(a):
     """Nonzero invariant factors of an integer matrix, in divisibility order."""
-    # a tall matrix is eliminated by its columns, as SNF(a^T) = SNF(a)^T
-    pivots, core = _eliminate(zip(*a) if a and len(a) > len(a[0]) else a)
+    # a tall matrix is eliminated by its columns, as SNF(a^T) = SNF(a)^T; the
+    # zero columns past the last nonzero one change no factor
+    width = 1 + max((row[-1][0] for row in a if row), default=-1)
+    pivots, core = _eliminate(transpose(a, width) if len(a) > width else a)
     core_cols = sorted({c for r in core for c in r})
     m = [[r.get(c, 0) for c in core_cols] for r in core]
     # row and column echelon forms in turn until diagonal; each round lowers
@@ -90,7 +91,7 @@ def smith_normal_form(a):
         m = _echelon(m, len(m[0]) if m else 0)[0]
         if all(sum(map(bool, v)) == 1 for v in m):
             break
-        m = transpose(m)
+        m = [list(v) for v in zip(*m)]
     return [1] * len(pivots) + _invariant_factors([abs(x) for v in m for x in v if x])
 
 
@@ -115,7 +116,7 @@ def _eliminate(a):
     """
     rows, holders = {}, {}  # holders: column -> the rows with a nonzero entry there
     for i, row in enumerate(a):
-        r = dict(zip(compress(count(), row), filter(None, row)))
+        r = dict(row)
         if r:
             rows[i] = r
             for j in r:

@@ -127,9 +127,9 @@ def _validate(table) -> None:
     for x, row in enumerate(table):
         if len(row) != m:
             raise AxiomError("shape", x, f"row {x} has length {len(row)}, expected {m}")
-        for y, v in enumerate(row):
-            if type(v) is not int or not 0 <= v < m:  # bool is not an entry
-                raise AxiomError("range", (x, y), f"entry {v} at ({x},{y}) outside 0..{m - 1}")
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= m:  # bool is not an entry
+            y, v = next((y, v) for y, v in enumerate(row) if type(v) is not int or not 0 <= v < m)
+            raise AxiomError("range", (x, y), f"entry {v} at ({x},{y}) outside 0..{m - 1}")
     for x in range(m):
         if table[x][x] != x:
             raise AxiomError("idempotence", x, f"{x}*{x} = {table[x][x]} != {x}")

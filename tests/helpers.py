@@ -29,6 +29,21 @@ from quandles.solve import _watch_lists, greedy_order
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def sparse(dense_rows):
+    """The library's matrix of dense rows: each row as its (column, value)
+    pairs, in column order, zeros left out."""
+    return [tuple((c, v) for c, v in enumerate(row) if v) for row in dense_rows]
+
+
+def dense(rows, cols: int):
+    """The dense rows, cols cells wide, of a matrix of (column, value) rows."""
+    out = [[0] * cols for _ in rows]
+    for row, cells in zip(rows, out):
+        for c, v in row:
+            cells[c] = v
+    return out
+
+
 def load_diagram(name: str) -> LinkDiagram:
     return parse_diagram((FIXTURES / name).read_text())
 
@@ -353,19 +368,17 @@ def two_kernel_symmetric_cohomology_z(q: Quandle, rho, n: int):
     [Zb | -delta_in] (Zb*a = delta_in*b), whose Smith form gives the quotient.
     """
     sl = cochain_slice(q, n, rho)
-    stacked = [list(r) for r in sl.delta_out] + [list(r) for r in sl.relations]
-    d_in = [list(r) for r in sl.delta_in]
-    c_n = len(sl.basis)
-    cocycles = linalg.integer_kernel_basis(stacked, cols=c_n)
+    c_n, n_b = len(sl.basis), len(sl.basis_below)
+    d_in = dense(sl.delta_in, n_b)
+    cocycles = dense(linalg.integer_kernel_basis(sl.delta_out + sl.relations, cols=c_n), c_n)
     z = len(cocycles)
     if z == 0:
         return 0, ()
-    n_b = len(sl.basis_below)
     mixed = [[cocycles[k][i] for k in range(z)] + [-d_in[i][j] for j in range(n_b)]
              for i in range(c_n)]
-    meet = linalg.integer_kernel_basis(mixed, cols=z + n_b)
+    meet = dense(linalg.integer_kernel_basis(sparse(mixed), cols=z + n_b), z + n_b)
     gens = [[vec[k] for vec in meet] for k in range(z)]
-    factors = linalg.smith_normal_form(gens) if meet else []
+    factors = linalg.smith_normal_form(sparse(gens)) if meet else []
     return z - len(factors), tuple(d for d in factors if d > 1)
 
 
@@ -426,15 +439,17 @@ def dense_relation_rows(q: Quandle, rho, n: int, basis):
 
 
 def whole_slice_cohomology(q: Quandle, n: int, coeffs, rho=None):
-    """H^n over each of coeffs from one dense slice of the whole complex, every
+    """H^n over each of coeffs from one slice of the whole complex, every
     face built by the face loop (inert ones included) and every relation row
-    by the dense builder, under the library's formula: cohomology before the
-    complex was split into blocks. Any degree n >= 2 is allowed."""
+    by the dense builder, each row then made sparse, under the library's
+    formula: cohomology before the complex was split into blocks. Any degree
+    n >= 2 is allowed."""
     below, basis, above = (tuple(product_tuple_basis(q, k)) for k in (n - 1, n, n + 1))
     sl = CochainComplexSlice(q, n, below, basis, above,
-                             face_loop_coboundary_rows(q, basis, below),
-                             face_loop_coboundary_rows(q, above, basis),
-                             None if rho is None else dense_relation_rows(q, rho, n, basis))
+                             tuple(sparse(face_loop_coboundary_rows(q, basis, below))),
+                             tuple(sparse(face_loop_coboundary_rows(q, above, basis))),
+                             None if rho is None
+                             else tuple(sparse(dense_relation_rows(q, rho, n, basis))))
     return [_cohomology(sl, Coeff.parse(coeff)) for coeff in coeffs]
 
 

@@ -6,11 +6,13 @@ import pytest
 from helpers import (
     ORACLE_QUANDLES,
     conjugation_quandle,
+    dense,
     dense_relation_rows,
     disjoint_union,
     face_loop_coboundary_rows,
     product_tuple_basis,
     quandle_classes,
+    sparse,
     symmetric_group_elements,
     two_kernel_symmetric_cohomology_z,
     whole_slice_cohomology,
@@ -55,8 +57,8 @@ def test_tuple_basis_sizes():
 
 def test_boundary_degree_two_formula():
     # boundary of (x, y) is (x) - (x*y); in P_3 the pair (1, 0) maps to (1) - (2)
-    mat = boundary_matrix(P3, 2)
     pairs = tuple_basis(P3, 2)
+    mat = dense(boundary_matrix(P3, 2), len(pairs))
     col = pairs.index((1, 0))
     assert [mat[r][col] for r in range(3)] == [0, 1, -1]
     # pairs with x*y = x have zero boundary
@@ -78,8 +80,8 @@ def test_chain_complex_law(q):
         assert linalg.is_zero_matrix(linalg.mat_mul(b_n, b_next))
         sl = cochain_slice(q, n)  # raises if the dual composition is nonzero
         # the slice's coboundary rows are the boundaries, transposed
-        assert [list(r) for r in sl.delta_in] == linalg.transpose(b_n)
-        assert [list(r) for r in sl.delta_out] == linalg.transpose(b_next)
+        assert list(sl.delta_in) == linalg.transpose(b_n, len(sl.basis))
+        assert list(sl.delta_out) == linalg.transpose(b_next, len(sl.basis_above))
 
 
 def test_boundary_bounds():
@@ -321,37 +323,38 @@ def test_symmetric_relations_rows_respected_by_kernel():
     # the cochains over GF(2) that delta_out and every relation row kill,
     # counted one by one, number 2^(c_n - rank S)
     sl = cochain_slice(P3, 2, (0, 2, 1))
-    stacked = [list(r) for r in sl.delta_out] + [list(r) for r in sl.relations]
     c_n = len(sl.basis)
+    stacked = dense(sl.delta_out + sl.relations, c_n)
     assert c_n == 6
     killed = sum(
         all(sum(r * v for r, v in zip(row, vec)) % 2 == 0 for row in stacked)
         for vec in product((0, 1), repeat=c_n))
-    assert killed == 2 ** (c_n - linalg.rank(stacked, 2))
+    assert killed == 2 ** (c_n - linalg.rank(sl.delta_out + sl.relations, 2))
 
 
-def _flipped(matrix, r, c):
-    """A copy of matrix with 1 added to entry (r, c)."""
-    rows = [list(row) for row in matrix]
+def _flipped(matrix, cols, r, c):
+    """A copy of matrix, whose rows are cols cells wide, with 1 added to entry (r, c)."""
+    rows = dense(matrix, cols)
     rows[r][c] += 1
-    return tuple(rows)
+    return tuple(sparse(rows))
 
 
 def test_slice_with_nonzero_composite_is_rejected():
     sl = cochain_slice(P3, 2)
     i = next(i for i, row in enumerate(sl.delta_in) if any(row))
     with pytest.raises(AssertionError):
-        replace(sl, delta_out=_flipped(sl.delta_out, 0, i))
+        replace(sl, delta_out=_flipped(sl.delta_out, len(sl.basis), 0, i))
     # defects in the last row and column catch a row scan that stops short
     for n in (2, 3):
         sl = cochain_slice(dihedral(3), n)
-        last_in, last_out = len(sl.basis) - 1, len(sl.basis_above) - 1
+        c_n, c_below = len(sl.basis), len(sl.basis_below)
+        last_in, last_out = c_n - 1, len(sl.basis_above) - 1
         assert any(sl.delta_in[last_in])  # so the corner flip adds a nonzero row
         i = next(i for i, row in enumerate(sl.delta_in) if any(row))
-        k = next(k for k in range(len(sl.basis)) if any(row[k] for row in sl.delta_out))
-        for bad in ({"delta_out": _flipped(sl.delta_out, last_out, last_in)},
-                    {"delta_out": _flipped(sl.delta_out, last_out, i)},
-                    {"delta_in": _flipped(sl.delta_in, k, len(sl.basis_below) - 1)}):
+        k = next(k for k in range(c_n) if any(row[k] for row in dense(sl.delta_out, c_n)))
+        for bad in ({"delta_out": _flipped(sl.delta_out, c_n, last_out, last_in)},
+                    {"delta_out": _flipped(sl.delta_out, c_n, last_out, i)},
+                    {"delta_in": _flipped(sl.delta_in, c_below, k, c_below - 1)}):
             with pytest.raises(AssertionError):
                 replace(sl, **bad)
 
@@ -374,9 +377,36 @@ def test_slice_matches_the_product_filter_and_face_loop(name):
             sl = cochain_slice(q, n, rho)
             below, basis, above = (tuple(product_tuple_basis(q, k)) for k in (n - 1, n, n + 1))
             assert (sl.basis_below, sl.basis, sl.basis_above) == (below, basis, above)
-            assert sl.delta_in == face_loop_coboundary_rows(q, basis, below)
-            assert sl.delta_out == face_loop_coboundary_rows(q, above, basis)
-            assert sl.relations == (None if rho is None else dense_relation_rows(q, rho, n, basis))
+            for delta, rows, cols in ((sl.delta_in, basis, below), (sl.delta_out, above, basis)):
+                assert dense(delta, len(cols)) == list(face_loop_coboundary_rows(q, rows, cols))
+            if rho is None:
+                assert sl.relations is None
+            else:
+                # the same rows; their order is the library's own
+                assert (sorted(dense(sl.relations, len(basis)))
+                        == sorted(map(list, dense_relation_rows(q, rho, n, basis))))
+
+
+@pytest.mark.parametrize("name", ORACLE_QUANDLES)
+def test_every_block_row_is_sorted_nonzero_pairs(name):
+    # each row of delta_in, delta_out and the relations of every block is a
+    # tuple of (column, value) pairs: columns increasing and below the width
+    # of the basis they index, and no value zero
+    q = load_quandle(name)
+    for rho in [None] + [sym.rho for sym in good_involutions(q)]:
+        for n in (2, 3):
+            for sl in cohomology._blocks(q, n, rho, split=True):
+                assert (sl.relations is None) == (rho is None)
+                for rows, cols in ((sl.delta_in, sl.basis_below), (sl.delta_out, sl.basis),
+                                   (sl.relations or (), sl.basis)):
+                    assert type(rows) is tuple
+                    for row in rows:
+                        assert type(row) is tuple and all(
+                            type(pair) is tuple and len(pair) == 2 for pair in row), row
+                        columns = [c for c, _ in row]
+                        assert columns == sorted(set(columns)), row
+                        assert all(0 <= c < len(cols) for c in columns), row
+                        assert all(type(v) is int and v for _, v in row), row
 
 
 def test_coeff_parsing():
@@ -453,7 +483,7 @@ def test_coboundaries_keep_the_orbit_of_the_first_entry(name):
         sl = cochain_slice(q, n)
         for delta, rows, cols in ((sl.delta_in, sl.basis, sl.basis_below),
                                   (sl.delta_out, sl.basis_above, sl.basis)):
-            for t, row in zip(rows, delta):
+            for t, row in zip(rows, dense(delta, len(cols))):
                 assert all(orbit[s[0]] == orbit[t[0]] for s in compress(cols, row)), t
 
 

@@ -6,6 +6,7 @@ from sympy import GF, QQ, ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 
+from helpers import dense, sparse
 from quandles import cochain_slice, dihedral, p_quandle, parse_cycles, trivial
 from quandles.linalg import (
     integer_kernel_basis,
@@ -31,9 +32,10 @@ def random_matrix(rng, rows, cols, pool):
 
 
 def test_mat_mul():
-    assert mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
-    with pytest.raises(ValueError):
-        mat_mul([[1, 2]], [[1, 2]])
+    product = mat_mul(sparse([[1, 2], [3, 4]]), sparse([[0, 1], [1, 0]]))
+    assert dense(product, 2) == [[2, 1], [4, 3]]
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        mat_mul(sparse([[1, 2]]), sparse([[1, 2]]))
 
 
 def test_mat_mul_matches_the_definition_on_sparse_matrices():
@@ -44,29 +46,31 @@ def test_mat_mul_matches_the_definition_on_sparse_matrices():
         b = random_matrix(rng, k, m, [0, 0, 0, 1, -1, -2, 3])
         expected = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
                     for i in range(n)]
-        assert mat_mul(a, b) == expected
+        product = mat_mul(sparse(a), sparse(b))
+        assert dense(product, m) == expected
+        assert product == sparse(expected)  # each row in column order, no zero kept
 
 
 def test_rank_over_q_and_modular():
-    m = [[2, 4], [1, 2]]
+    m = sparse([[2, 4], [1, 2]])
     assert rank(m) == 1
-    assert rank([[1, 0], [0, 1]]) == 2
-    assert rank([[2, 0], [0, 2]], p=2) == 0
-    assert rank([[2, 0], [0, 3]], p=3) == 1
-    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank(sparse([[1, 0], [0, 1]])) == 2
+    assert rank(sparse([[2, 0], [0, 2]]), p=2) == 0
+    assert rank(sparse([[2, 0], [0, 3]]), p=3) == 1
+    assert rank(sparse([[0, 0], [0, 0]])) == 0
     # the row (2, 0) constrains nothing over GF(2) but has rank 1 over Q
-    assert rank([[2, 0]], p=2) == 0
-    assert rank([[2, 0]]) == 1
+    assert rank(sparse([[2, 0]]), p=2) == 0
+    assert rank(sparse([[2, 0]])) == 1
 
 
 def test_smith_normal_form_known_values():
-    assert smith_normal_form([[1, 0], [0, 3]]) == [1, 3]
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[2, 4], [4, 8]]) == [2]
-    assert smith_normal_form([[0, 0], [0, 0]]) == []
-    assert smith_normal_form([[6]]) == [6]
+    assert smith_normal_form(sparse([[1, 0], [0, 3]])) == [1, 3]
+    assert smith_normal_form(sparse([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_normal_form(sparse([[2, 4], [4, 8]])) == [2]
+    assert smith_normal_form(sparse([[0, 0], [0, 0]])) == []
+    assert smith_normal_form(sparse([[6]])) == [6]
     # divisibility chain d1 | d2 | ...
-    factors = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    factors = smith_normal_form(sparse([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
 
@@ -87,7 +91,7 @@ def test_smith_normal_form_random_unimodular_sandwich():
             else:
                 for row in d:
                     row[i] += c * row[j]
-        got = smith_normal_form(d)
+        got = smith_normal_form(sparse(d))
         assert len(got) == 3
         assert got[0] == math.gcd(*diag)
         assert math.prod(got) == math.prod(diag)
@@ -104,9 +108,9 @@ def test_smith_normal_form_and_rank_match_sympy(pool):
     rng = random.Random(sum(pool) + len(pool))
     for _ in range(40):
         a = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), pool)
-        assert smith_normal_form(a) == sympy_factors(a)
+        assert smith_normal_form(sparse(a)) == sympy_factors(a)
         for p in (None, 2, 3, 5):
-            assert rank(a, p) == sympy_rank(a, p)
+            assert rank(sparse(a), p) == sympy_rank(a, p)
 
 
 def test_tall_matrices_give_the_factors_of_their_transpose():
@@ -115,9 +119,11 @@ def test_tall_matrices_give_the_factors_of_their_transpose():
     for pool in POOLS:
         for _ in range(15):
             a = random_matrix(rng, rng.randint(6, 40), rng.randint(1, 5), pool)
-            assert smith_normal_form(a) == smith_normal_form(transpose(a)) == sympy_factors(a)
-    for a in ([[]], [[], []]):  # rows of width 0: taller than wide, and no columns
-        assert smith_normal_form(a) == smith_normal_form(transpose(a)) == []
+            a_t = transpose(sparse(a), len(a[0]))
+            assert dense(a_t, len(a)) == [list(col) for col in zip(*a)]
+            assert smith_normal_form(sparse(a)) == smith_normal_form(a_t) == sympy_factors(a)
+    for a in ([()], [(), ()]):  # rows of width 0: taller than wide, and no columns
+        assert smith_normal_form(a) == smith_normal_form(transpose(a, 0)) == []
         assert rank(a) == rank(a, 2) == 0
 
 
@@ -126,13 +132,13 @@ def test_tall_matrices_give_the_factors_of_their_transpose():
                                p_quandle(4, parse_cycles("(1 2)(3 4)", 4))])
 def test_coboundaries_match_sympy(q):
     sl = cochain_slice(q, 3)
-    for delta in (sl.delta_in, sl.delta_out):
-        d = [list(r) for r in delta]
-        assert smith_normal_form(d) == sympy_factors(d)
+    for delta, cols in ((sl.delta_in, sl.basis_below), (sl.delta_out, sl.basis)):
+        d = dense(delta, len(cols))
+        assert smith_normal_form(delta) == sympy_factors(d)
         for p in (None, 2, 3, 5):
-            assert rank(d, p) == sympy_rank(d, p)
+            assert rank(delta, p) == sympy_rank(d, p)
     if q == dihedral(5):
-        assert [f for f in smith_normal_form([list(r) for r in sl.delta_out]) if f > 1] == [5]
+        assert [f for f in smith_normal_form(sl.delta_out) if f > 1] == [5]
 
 
 # all-zero rows, a zero matrix and entries outside {0, +-1, +-2}
@@ -146,33 +152,35 @@ SHAPE_CASES = (
 
 @pytest.mark.parametrize("a", SHAPE_CASES)
 def test_tuple_rows_give_the_answers_of_list_rows(a):
-    as_tuples = tuple(map(tuple, a))
-    assert smith_normal_form(as_tuples) == smith_normal_form(a) == sympy_factors(a)
+    # a tuple of tuple rows and a list of list rows of the same pairs
+    as_tuples, as_lists = tuple(sparse(a)), [list(row) for row in sparse(a)]
+    assert smith_normal_form(as_tuples) == smith_normal_form(as_lists) == sympy_factors(a)
     for p in (None, 2, 3):
-        assert rank(as_tuples, p) == rank(a, p) == sympy_rank(a, p)
+        assert rank(as_tuples, p) == rank(as_lists, p) == sympy_rank(a, p)
     cols = len(a[0])
-    assert integer_kernel_basis(as_tuples, cols) == integer_kernel_basis(a, cols)
-    assert_saturated_kernel(a, cols)
-    b = transpose(a)
-    expected = (Matrix(a) * Matrix(b)).tolist()
-    assert mat_mul(as_tuples, tuple(map(tuple, b))) == mat_mul(a, b) == expected
+    assert integer_kernel_basis(as_tuples, cols) == integer_kernel_basis(as_lists, cols)
+    assert_saturated_kernel(as_tuples, cols)
+    b = transpose(as_lists, cols)
+    expected = (Matrix(a) * Matrix(dense(b, len(a)))).tolist()
+    assert (dense(mat_mul(as_tuples, tuple(b)), len(a)) == dense(mat_mul(as_lists, b), len(a))
+            == expected)
 
 
 def test_integer_kernel_basis_is_saturated():
-    basis = integer_kernel_basis([[2, -2]])
+    basis = dense(integer_kernel_basis(sparse([[2, -2]]), 2), 2)
     assert len(basis) == 1
     from math import gcd
     assert abs(gcd(*basis[0])) == 1  # (1, 1), not (2, 2)
 
     mat = [[1, 2, 3], [2, 4, 6]]
-    basis = integer_kernel_basis(mat)
+    basis = dense(integer_kernel_basis(sparse(mat), 3), 3)
     assert len(basis) == 2
     for vec in basis:
         assert all(sum(r * v for r, v in zip(row, vec)) == 0 for row in mat)
 
-    assert integer_kernel_basis([[1, 0], [0, 1]]) == []
+    assert integer_kernel_basis(sparse([[1, 0], [0, 1]]), 2) == []
     assert len(integer_kernel_basis([], cols=3)) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the width is always given
         integer_kernel_basis([])
 
 
@@ -180,8 +188,9 @@ def assert_saturated_kernel(a, cols):
     """The basis annihilates a, has cols - rank(a) vectors and is saturated."""
     basis = integer_kernel_basis(a, cols=cols)
     assert len(basis) == cols - rank(a)
-    for vec in basis:
-        assert all(sum(x * v for x, v in zip(row, vec)) == 0 for row in a)
+    assert basis == sparse(dense(basis, cols))  # each row in column order, no zero kept
+    for vec in dense(basis, cols):
+        assert all(sum(x * v for x, v in zip(row, vec)) == 0 for row in dense(a, cols))
     assert smith_normal_form(basis) == [1] * len(basis)
 
 
@@ -190,13 +199,13 @@ def test_integer_kernel_basis_on_random_matrices(pool):
     rng = random.Random(3 * sum(pool) + len(pool))
     for _ in range(60):
         cols = rng.randint(1, 8)
-        assert_saturated_kernel(random_matrix(rng, rng.randint(1, 8), cols, pool), cols)
+        assert_saturated_kernel(sparse(random_matrix(rng, rng.randint(1, 8), cols, pool)), cols)
 
 
 def _symmetric_stack():
     q = p_quandle(6, parse_cycles("(1 2)(3 4)(5 6)", 6))
     sl = cochain_slice(q, 2, (0, 2, 1, 3, 4, 5, 6))  # rho = (1 2), a good involution
-    return [list(r) for r in sl.delta_out] + [list(r) for r in sl.relations], len(sl.basis)
+    return sl.delta_out + sl.relations, len(sl.basis)
 
 
 @pytest.mark.parametrize("case", ["R4", "R5", "P4", "sym P6"])
@@ -207,7 +216,7 @@ def test_integer_kernel_basis_on_coboundaries(case):
         q = {"R4": dihedral(4), "R5": dihedral(5),
              "P4": p_quandle(4, parse_cycles("(1 2 3 4)", 4))}[case]
         sl = cochain_slice(q, 3)
-        a, cols = [list(r) for r in sl.delta_out], len(sl.basis)
+        a, cols = sl.delta_out, len(sl.basis)
     assert_saturated_kernel(a, cols)
 
 
@@ -215,7 +224,7 @@ def test_in_column_span():
     a = [[1, 0], [0, 2], [0, 0]]
 
     def in_column_span(v, p=None):  # a rank that a new column leaves unchanged
-        return rank(a, p) == rank([row + [vi] for row, vi in zip(a, v)], p)
+        return rank(sparse(a), p) == rank(sparse([row + [vi] for row, vi in zip(a, v)]), p)
 
     assert in_column_span([3, 4, 0])
     assert not in_column_span([0, 0, 1])
@@ -224,7 +233,8 @@ def test_in_column_span():
 
 
 def test_transpose_round_trip():
-    m = [[1, 2, 3], [4, 5, 6]]
-    assert transpose(transpose(m)) == m
-    assert is_zero_matrix([[0, 0]])
-    assert not is_zero_matrix([[0, 1]])
+    m = sparse([[1, 2, 3], [4, 5, 6]])
+    assert dense(transpose(m, 3), 2) == [[1, 4], [2, 5], [3, 6]]
+    assert transpose(transpose(m, 3), 2) == m
+    assert is_zero_matrix(sparse([[0, 0]]))
+    assert not is_zero_matrix(sparse([[0, 1]]))
