@@ -31,6 +31,7 @@ keeps x_1 and each inert entry in its Inn-orbit. So a block is spanned by the
 tuples with one word of the orbits of x_1 and of the inert entries (of pairs
 {O, rho(O)}, as a relation swaps x_i for rho(x_i)). H^n is the sum of the
 blocks' groups, for every n >= 2; the cochain budget alone bounds the work.
+In a trivial quandle every entry is inert, so every coboundary is zero.
 """
 
 from __future__ import annotations
@@ -188,11 +189,14 @@ class CochainComplexSlice:
 
 def _blocks(q: Quandle, n: int, rho, split: bool):
     """The slices of the degree-n blocks, n >= 2, that hold an n-tuple (module
-    docstring), or the whole slice if not split or q is one block. Budgets
-    are charged before what they count is built: n^2 first; then, with
-    nothing inert, the cells of the shapes of the blocks' matrices, as a block
-    of first entries P holds |P|(m-1)^(k-1) k-tuples and |P|m^(n-1) relation
-    n-tuples (n rows each); else the tuples to list, then the cells."""
+    docstring), or the whole slice if not split or q is one block. Split with no
+    rho, a trivial quandle is one slice of zero matrices. Any other block has a
+    face or a relation, for some y not inert: if x_n is inert, appending y keeps
+    the key; else deleting x_n does; with rho, a block holds its own relation
+    n-tuples. Budgets are charged before what they count is built: n^2 first;
+    then, with nothing inert, the cells of the shapes of the blocks' matrices,
+    as a block of first entries P holds |P|(m-1)^(k-1) k-tuples and |P|m^(n-1)
+    relation n-tuples (n rows each); else the tuples to list, then the cells."""
     _charge_degree(n)
     columns = _columns(q)
     # each element's orbit: the least point of its Inn-orbit O, or of O and rho(O);
@@ -207,6 +211,9 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
     else:  # a block holds |P|/m of each basis, so (|P|/m)^2 of the whole slice's cells
         whole = sizes[1] * (sizes[0] + sizes[2] + n * tuples)
         Budget("cochain", whole * sum(p * p for p in Counter(orbit).values()) // q.m**2)
+    if split and rho is None and all(columns[1]):  # a trivial quandle: every face cancels
+        yield cochain_slice(q, n, rho, (columns, ((), tuple_basis(q, n), (), ())))
+        return
     groups = {}
     for slot, k in ((1, n), (0, n - 1), (2, n + 1)) + (((3, n),) if tuples else ()):
         level = [((x,), (orbit[x],)) for x in q.elements]  # (tuple, key) pairs
@@ -219,13 +226,8 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
                 groups.setdefault(key, ([], [], [], []))[slot].append(t)
     Budget("cochain", sum(len(b) * (len(lo) + len(hi) + n * len(ts))
                           for lo, b, hi, ts in groups.values()))
-    blocks = list(groups.values()) or [((), (), (), ())]  # one block is the whole slice
-    if len(blocks) > 1:  # blocks of n-tuples alone hold zero matrices: they make one slice
-        lone = [t for lo, b, hi, ts in blocks if not (lo or hi or ts) for t in b]
-        blocks = [bs for bs in blocks if bs[0] or bs[2] or bs[3]]
-        blocks += [[(), lone, (), ()]] if lone else []
-    for bases in blocks:  # built by the public cochain_slice, so a trace of it sees each
-        yield cochain_slice(q, n, rho, (columns, bases))
+    for bases in list(groups.values()) or [((), (), (), ())]:  # no n-tuple: the whole slice
+        yield cochain_slice(q, n, rho, (columns, bases))  # public, so a trace sees each
 
 
 def cochain_slice(q: Quandle, n: int, rho=None, _block=None) -> CochainComplexSlice:
@@ -292,21 +294,20 @@ def symmetric_cohomology(q: Quandle, rho, n: int, coeff) -> AbelianGroupSummary:
 
 @dataclass(frozen=True)
 class Cocycle2:
-    """A degree-2 cochain as an m x m table of coefficients."""
+    """A degree-2 cochain as an m x m table of integer coefficients."""
 
     m: int
     values: tuple
-    coeff: Coeff = Coeff("Z")
 
     def __call__(self, x: int, y: int):
         return self.values[x][y]
 
     @classmethod
-    def from_pairs(cls, m: int, pairs: dict, coeff: Coeff = Coeff("Z")) -> "Cocycle2":
+    def from_pairs(cls, m: int, pairs: dict) -> "Cocycle2":
         values = [[0] * m for _ in range(m)]
         for (x, y), v in pairs.items():
             values[x][y] = v
-        return cls(m, tuple(tuple(r) for r in values), coeff)
+        return cls(m, tuple(tuple(r) for r in values))
 
 
 def theta_cocycle(n: int) -> Cocycle2:
@@ -321,12 +322,10 @@ def is_2cocycle(q: Quandle, phi: Cocycle2) -> bool:
     """Diagonal vanishing plus the degree-2 cocycle identity over all triples."""
     if phi.m != q.m:
         raise ValueError("cochain size does not match the quandle")
-    p = phi.coeff.p if phi.coeff.kind == "Zp" else 0  # over Z, v % p is not taken
     f, t, xs = phi.values, q.table, q.elements
-    values = itertools.chain((f[x][x] for x in xs), (  # the diagonal, then each triple
+    return not any(f[x][x] for x in xs) and not any(  # the diagonal, then each triple
         f[x][y] + f[t[x][y]][z] - f[x][z] - f[t[x][z]][t[y][z]]
-        for x, y, z in itertools.product(xs, repeat=3)))
-    return not any(v % p if p else v for v in values)
+        for x, y, z in itertools.product(xs, repeat=3))
 
 
 def two_cocycle_basis(q: Quandle):

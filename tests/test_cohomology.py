@@ -551,6 +551,55 @@ def test_torsion_merges_across_blocks():
         assert str(cohomology_Q(P3, 2, "Z")) == "Z^1 (+) Z/6"
 
 
+FACE_QUANDLES = {**UCT_QUANDLES, **{f"order 5 #{i}": q for i, q in enumerate(quandle_classes(5))}}
+
+
+@pytest.mark.parametrize("name", FACE_QUANDLES)
+def test_only_a_trivial_quandle_has_a_slice_without_faces(name):
+    # split, every block that holds an n-tuple also holds an (n-1)-, an
+    # (n+1)- or a relation tuple, except in a trivial quandle with no rho:
+    # that is one slice of all the n-tuples, built without listing blocks
+    q = FACE_QUANDLES[name]
+    is_trivial = all(set(row) == {x} for x, row in enumerate(q.table))
+    for rho in [None] + [sym.rho for sym in good_involutions(q)][:3]:
+        for n in (2, 3, 4) if q.m <= 6 else (2, 3):
+            slices = list(cohomology._blocks(q, n, rho, split=True))
+            if is_trivial and rho is None:
+                assert [sl.basis for sl in slices] == [tuple(tuple_basis(q, n))], n
+                continue
+            for sl in slices:
+                assert not sl.basis or sl.basis_below or sl.basis_above or sl.relations, (
+                    rho, n, sl.basis)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_trivial_quandles_are_free_on_their_n_tuples(m):
+    # every face of T_m cancels, so H^n is free on the c_n = m(m-1)^(n-1)
+    # non-degenerate n-tuples over every coefficient ring; all of degrees
+    # 2-6 are under the default cap
+    q = trivial(m)
+    for n in range(2, 7):
+        c = m * (m - 1) ** (n - 1)
+        got = [cohomology_Q(q, n, coeff) for coeff in COEFFS]
+        assert got == [AbelianGroupSummary(Coeff.parse(coeff), c) for coeff in COEFFS], n
+        if c * c * (m - 1) <= 2 * 10**5:  # the oracle's dense delta_out stays small
+            assert got == whole_slice_cohomology(q, n, COEFFS), n
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_symmetric_cohomology_of_trivial_quandles(m):
+    # with rho, a trivial quandle still goes through the blocks. rho swaps 0
+    # and 1 and fixes the rest; the values are pinned from the implementation
+    # (over F2 they fit (m-1)(m-2)^(n-1)), and match the whole slice where small
+    q, rho = trivial(m), (1, 0, *range(2, m))
+    for n in (2, 3, 4):
+        got = [symmetric_cohomology(q, rho, n, coeff) for coeff in COEFFS]
+        assert list(map(str, got)) == ["0", "Q^0", f"F2^{(m - 1) * (m - 2) ** (n - 1)}",
+                                       "F3^0"], n
+        if m ** (2 * n) <= 10**4:
+            assert got == whole_slice_cohomology(q, n, COEFFS, rho), n
+
+
 S4 = symmetric_group_elements(4)
 
 
