@@ -92,9 +92,10 @@ class AbelianGroupSummary:
 
 def tuple_basis(q: Quandle, n: int):
     """Non-degenerate n-tuples (no adjacent repeat) in lexicographic order."""
-    basis = [(x,) for x in q.elements] if n >= 1 else []
+    xs = q.elements
+    basis = [(x,) for x in xs] if n >= 1 else []
     for _ in range(n - 1):
-        basis = [t + (x,) for t in basis for x in q.elements if x != t[-1]]
+        basis = [t + (x,) for t in basis for x in xs if x != t[-1]]
     return basis
 
 
@@ -131,6 +132,8 @@ def _coboundary_rows(columns, basis, lower):
     """One sparse row per tuple t of basis: the boundary of t (module docstring)
     on the lower basis, where the degenerate faces are absent and so vanish,
     and the two faces that delete the first or an inert entry cancel: skipped."""
+    if not basis or not lower:
+        return ((),) * len(basis)
     (cols, inert), index = columns, {t: i for i, t in enumerate(lower)}
     rows, nonzero = [], itemgetter(1)
     for t in basis:
@@ -147,20 +150,19 @@ def _coboundary_rows(columns, basis, lower):
     return tuple(rows)
 
 
-def _relation_rows(cols, rho, tuples, basis):
-    """Involution relations of the given n-tuples as sparse rows over the basis.
-
-    Each row is the indicator of a sum T + T'; coefficients are kept as-is
-    (a relation 2*f(T) = 0 must stay 2, it is vacuous mod 2).
-    """
+def _relation_rows(cols, rho, basis):
+    """Involution relations as sparse rows over the basis. A row is the
+    indicator of a sum T + T', made from its term T in the basis: the move
+    T -> T' undoes itself ((x*y)*rho(y) = x; Kamada & Oshiro, Trans. AMS 2010).
+    Coefficients are kept (a relation 2*f(T) = 0 stays 2; vacuous mod 2)."""
     index = {t: i for i, t in enumerate(basis)}
     relations = set()  # each as the sorted positions of its terms in the basis
-    for t in tuples:
+    for t in basis:
         for i, y in enumerate(t):
             other = tuple(map(cols[y].__getitem__, t[:i])) + (rho[y],) + t[i + 1:]
             relations.add(tuple(sorted(index[s] for s in (t, other) if s in index)))
     return tuple(tuple(Counter(positions).items())  # a position twice is a 2
-                 for positions in sorted(relations - {()}))
+                 for positions in sorted(relations))
 
 
 @dataclass(frozen=True)
@@ -192,11 +194,11 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
     docstring), or the whole slice if not split or q is one block. Split with no
     rho, a trivial quandle is one slice of zero matrices. Any other block has a
     face or a relation, for some y not inert: if x_n is inert, appending y keeps
-    the key; else deleting x_n does; with rho, a block holds its own relation
-    n-tuples. Budgets are charged before what they count is built: n^2 first;
+    the key; else deleting x_n does; with rho, each n-tuple makes its own
+    relations. Budgets are charged before what they count is built: n^2 first;
     then, with nothing inert, the cells of the shapes of the blocks' matrices,
-    as a block of first entries P holds |P|(m-1)^(k-1) k-tuples and |P|m^(n-1)
-    relation n-tuples (n rows each); else the tuples to list, then the cells."""
+    as a block of first entries P holds |P|(m-1)^(k-1) k-tuples (and n
+    relation rows per n-tuple with rho); else the tuples to list, then the cells."""
     _charge_degree(n)
     columns = _columns(q)
     # each element's orbit: the least point of its Inn-orbit O, or of O and rho(O);
@@ -205,45 +207,44 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
     orbit = [min(least[x], least[r]) for x, r in zip(q.elements, rho or q.elements)]
     letters = [(o,) if split and i else () for o, i in zip(orbit, columns[1])]
     sizes = [q.m * (q.m - 1) ** (k - 1) for k in (n - 1, n, n + 1)]  # c_k, as tuple_basis
-    tuples = 0 if rho is None else q.m**n
+    rows = 0 if rho is None else n  # relation rows per n-tuple
     if any(letters):
-        Budget("cochain", sum(sizes) + tuples)
+        Budget("cochain", sum(sizes))
     else:  # a block holds |P|/m of each basis, so (|P|/m)^2 of the whole slice's cells
-        whole = sizes[1] * (sizes[0] + sizes[2] + n * tuples)
+        whole = sizes[1] * (sizes[0] + sizes[2] + rows * sizes[1])
         Budget("cochain", whole * sum(p * p for p in Counter(orbit).values()) // q.m**2)
     if split and rho is None and all(columns[1]):  # a trivial quandle: every face cancels
-        yield cochain_slice(q, n, rho, (columns, ((), tuple_basis(q, n), (), ())))
+        yield cochain_slice(q, n, rho, (columns, ((), tuple_basis(q, n), ())))
         return
     groups = {}
-    for slot, k in ((1, n), (0, n - 1), (2, n + 1)) + (((3, n),) if tuples else ()):
+    for slot, k in ((1, n), (0, n - 1), (2, n + 1)):
         level = [((x,), (orbit[x],)) for x in q.elements]  # (tuple, key) pairs
-        for _ in range(k - 1):  # the fourth slot lists every n-tuple for rho; only
-            # the last step stays lazy, so a tuple no block keeps goes as it is made
+        for _ in range(k - 1):  # only the last step stays lazy, so a tuple
+            # that no block keeps goes as it is made
             level = ((t + (x,), key + letters[x]) for t, key in list(level)
-                     for x in q.elements if slot == 3 or x != t[-1])
+                     for x in q.elements if x != t[-1])
         for t, key in level:  # the n-tuples, listed first, name the blocks kept
             if slot == 1 or key in groups or not split:
-                groups.setdefault(key, ([], [], [], []))[slot].append(t)
-    Budget("cochain", sum(len(b) * (len(lo) + len(hi) + n * len(ts))
-                          for lo, b, hi, ts in groups.values()))
-    for bases in list(groups.values()) or [((), (), (), ())]:  # no n-tuple: the whole slice
+                groups.setdefault(key, ([], [], []))[slot].append(t)
+    Budget("cochain", sum(len(b) * (len(lo) + len(hi) + rows * len(b))
+                          for lo, b, hi in groups.values()))
+    for bases in list(groups.values()) or [((), (), ())]:  # no n-tuple: the whole slice
         yield cochain_slice(q, n, rho, (columns, bases))  # public, so a trace sees each
 
 
 def cochain_slice(q: Quandle, n: int, rho=None, _block=None) -> CochainComplexSlice:
     """Build the whole degree-n slice, n >= 2. The cells of its matrices'
-    shapes, with one relation row per n-tuple and position before duplicates
-    go, are nodes of one Budget, charged before any row is built; only the
-    nonzeros are stored. With _block, the columns and the bases (below,
-    basis, above, n-tuples) of a block that `_blocks` has charged, it builds
-    that block's slice."""
+    shapes, with n relation rows per basis n-tuple before duplicates go, are
+    nodes of one Budget, charged before any row is built; only the nonzeros
+    are stored. With _block, the columns and the bases (below, basis, above)
+    of a block that `_blocks` has charged, it builds that block's slice."""
     if _block is None:
         return next(_blocks(q, n, rho, split=False))
-    columns, (below, basis, above, tuples) = _block
+    columns, (below, basis, above) = _block
     return CochainComplexSlice(
         q, n, tuple(below), tuple(basis), tuple(above),
         _coboundary_rows(columns, basis, below), _coboundary_rows(columns, above, basis),
-        None if rho is None else _relation_rows(columns[0], rho, tuples, basis))
+        None if rho is None else _relation_rows(columns[0], rho, basis))
 
 
 def _cohomology(sl: CochainComplexSlice, coeff: Coeff) -> AbelianGroupSummary:

@@ -181,6 +181,7 @@ def inner_group(q: Quandle) -> FiniteGroupTable:
         for c in (tuple(map(a.__getitem__, b)) for b in gens):
             if c not in elems:
                 elems.add(c)
+                Budget("group", len(elems) ** 2)  # the table's cells, charged as Inn grows
                 pending.append(c)
     return _group_table(sorted(elems))
 

@@ -78,6 +78,7 @@ def quiver(d: LinkDiagram, q: Quandle, s) -> Quiver:
         if not f.verify():
             raise ValueError(f"map {f.image} is not an endomorphism")
     verts = colorings(d, q)
+    Budget("quiver", len(verts) * len(s))  # the edges, charged before any is built
     # recolor[i](f) is f after coloring i, keyed alike: an int for a one-arc diagram
     recolor = [itemgetter(*v.colors) for v in verts]
     index = {get(range(q.m)): i for i, get in enumerate(recolor)}

@@ -367,10 +367,18 @@ def test_group_table_answers_at_a_cap_of_its_cells(capsys, monkeypatch, argv, ce
     # R5 is one block: c_3, c_4, c_5 = 5 * 4^(k-1) = 80, 320, 1280, so
     # delta_in and delta_out hold 320 * (80 + 1280) cells
     (("cohomology", "R 5", "--degree", "4"), "cochain", 320 * (80 + 1280), "Z/5"),
+    # R3 with rho = id is one block: c_7, c_8, c_9 = 3 * 2^(k-1) = 192, 384,
+    # 768, and 8 relation rows per basis 8-tuple
+    (("cohomology", "R 3", "--degree", "8", "--rho", "()"), "cochain",
+     384 * (192 + 768 + 8 * 384), "0"),
     # 7 homs, so 7^3 axiom checks of the Hom quandle; the hom search takes fewer
     (("homquandle", "P 2 (1 2)", "P 2 (1 2)"), "homquandle", 7**3,
      "Hom quandle of order 7"),
-], ids=["cohomology", "cohomology-blocks", "cohomology-R5-degree4", "homquandle"])
+    # 3^4 colorings of four unknots over T3, times its 3^3 endomorphisms
+    (("quiver", str(FIXTURES / "unlink4.lnk"), "T 3"), "quiver", 3**4 * 3**3,
+     "quiver with 81 vertices and 2187 edges"),
+], ids=["cohomology", "cohomology-blocks", "cohomology-R5-degree4", "cohomology-R3-degree8-rho",
+        "homquandle", "quiver"])
 def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, cells, head):
     monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cells))
     code, out, _ = run(capsys, *argv)
@@ -402,10 +410,14 @@ def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, 
     (("verify", "P 3\u0663\u0663\u0663\u0663"), "table search exceeded 10000000 nodes"),
     # a linking weight w is 2|w| crossings, charged before any is made
     (("synth", str(FIXTURES / "linking_1e8.json")), "crossing search exceeded 10000000 nodes"),
+    # 6^4 colorings of four unknots times the 6^6 endomorphisms of T6 are
+    # 60,466,176 edges, charged before any is built
+    (("quiver", str(FIXTURES / "unlink4.lnk"), "T 6", "--endos", "all"),
+     "quiver search exceeded 10000000 nodes"),
 ], ids=["cohomology-R40-degree3", "cohomology-R7-degree4", "cohomology-R3-degree10^9",
         "cohomology-T2-degree10^5", "cohomology-T1-degree10^7", "homquandle-T3-T10",
         "modulus-400-nines", "modulus-2^61-1", "phi-theta-100000", "verify-T20000", "verify-P-arabic-digits",
-        "synth-weight-10^8"])
+        "synth-weight-10^8", "quiver-unlink4-T6"])
 def test_oversized_builds_stop_at_once(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
     start = time.perf_counter()

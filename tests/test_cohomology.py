@@ -600,6 +600,18 @@ def test_symmetric_cohomology_of_trivial_quandles(m):
             assert got == whole_slice_cohomology(q, n, COEFFS, rho), n
 
 
+@pytest.mark.parametrize("q, n", [
+    (dihedral(3), 7), (dihedral(4), 5), (trivial(3), 6), (p_quandle(3, parse_cycles("(1 2)", 3)), 5),
+], ids=["R3", "R4", "T3", "P3 (1 2)"])
+def test_symmetric_cohomology_above_degree_three_matches_the_whole_slice(q, n):
+    # the library makes its relation rows from the basis n-tuples alone; the
+    # oracle makes them from every n-tuple, degenerate ones included (the
+    # identity is R3's one good involution)
+    for rho in [sym.rho for sym in good_involutions(q)]:
+        got = symmetric_cohomology(q, rho, n, "Z")
+        assert [got] == whole_slice_cohomology(q, n, ("Z",), rho), rho
+
+
 S4 = symmetric_group_elements(4)
 
 

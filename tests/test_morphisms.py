@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -112,6 +113,22 @@ def test_inner_groups():
     assert inner_group(trivial(5)).order == 1
     r3 = inner_group(dihedral(3))
     assert r3.order == 6 and not r3.is_abelian()
+
+
+def test_inner_group_stops_at_the_cap_while_it_grows(monkeypatch):
+    # the 36 transpositions of S_9 generate Inn = S_9, of 362,880 elements;
+    # each element added charges the cells of the table so far, so the closure
+    # stops at 3163 elements, the first whose square passes the cap
+    monkeypatch.delenv("QUANDLE_SEARCH_CAP", raising=False)
+    swaps = [tuple(j if k == i else i if k == j else k for k in range(9))
+             for i in range(9) for j in range(i + 1, 9)]
+    q = conjugation_quandle(swaps)
+    start = time.perf_counter()
+    with pytest.raises(SearchCapError) as err:
+        inner_group(q)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == "group search exceeded 10000000 nodes"
+    assert err.value.budget.nodes == 3163**2
 
 
 GROUP_TABLE_CASES = {
