@@ -156,8 +156,11 @@ def _cmd_poly(args) -> None:
 
 def _cmd_goodinv(args) -> None:
     q = load_quandle(args.quandle)
-    _listing(args, invariants._good_involutions(q), _cycle_line, "%d good involutions",
-             ("count", "involutions"))
+    # the cycles of an involution r are the pairs x < r(x), each "(x r(x))"
+    opens, closes = ["(%d " % x for x in q.elements], ["%d)" % y for y in q.elements]
+    _listing(args, invariants._good_involutions(q),
+             lambda r: "".join([opens[x] + closes[y] for x, y in enumerate(r) if x < y]) or "()",
+             "%d good involutions", ("count", "involutions"))
 
 
 def _cmd_cohomology(args) -> None:

@@ -164,8 +164,13 @@ def theta_weight(d: LinkDiagram, q: Quandle, phi: Cocycle2, coloring: Coloring) 
 
 
 def cocycle_invariant(d: LinkDiagram, q: Quandle, phi: Cocycle2) -> GroupRingElement:
-    """Formal sum over colorings of t^(theta-weight)."""
+    """Formal sum over colorings of t^(theta-weight), each weight theta_weight's
+    with phi's values and each crossing's (under arc, over arc) read once."""
     if not is_2cocycle(q, phi):
         raise ValueError("phi is not a 2-cocycle of the quandle")
-    return GroupRingElement(Counter(theta_weight(d, q, phi, coloring)
-                                    for coloring in colorings(d, q)))
+    values = phi.values
+    pos = [(c.under_in, c.over) for c in d.crossings if c.sign > 0]
+    neg = [(c.under_out, c.over) for c in d.crossings if c.sign < 0]
+    return GroupRingElement(Counter(
+        sum(values[col[a]][col[b]] for a, b in pos) - sum(values[col[a]][col[b]] for a, b in neg)
+        for col in (coloring.colors for coloring in colorings(d, q))))

@@ -1,168 +1,168 @@
-"""One propagating search over quandle table constraints.
+"""One search over quandle table constraints, run from a plan made once.
 
 Variables take values in range(n). A constraint (x, y, z, T, B) means
-z = T[x][y]; the columns of T are bijections and B holds their inverses, so it
-also means x = B[z][y]. Once y is known it propagates forward to z and
-backward to x; if the rows of T are bijections too (T is latin), x and z fix
-y. The search branches on the first unassigned variable of a given order and
-tries values in increasing order, so with the order range(n_vars) solutions
-come out in lexicographic order. Every value tried at a branch spends one node
-of a Budget. The last unknown is not propagated (unless values must differ or
-it sits at a kink): the values that pass are the AND of one bitmask per watch
-entry on it (forward checking, Haralick & Elliott 1980), each still spending
-its node, so node counts are unchanged.
+z = T[x][y]; B holds the inverses of T's columns, which are bijections, so
+known x and y fix z and known y and z fix x = B[z][y]. If T is latin and
+x != z, known x and z fix y by left division. What is known at each branch
+level depends on the branch order alone, so each constraint is one op, fixed in
+advance at the level where its third variable becomes known. Levels try values
+in increasing order, one Budget node each; a last level with one variable left
+reads the values that pass from a bitmask ANDed in over the levels above
+(forward checking, Haralick & Elliott 1980).
 """
 
 from __future__ import annotations
 
+from functools import cache, partial
+
 from .limits import Budget
 
 
-def _watch_lists(n_vars: int, constraints):
-    """For each variable w, entries (u, target, table): once w and u are known,
-    target = table[value of w][value of u]. One entry per direction a
-    constraint propagates in: four, or two when x and z are one variable, and
-    two more when the rows of T are bijections too (T is latin), as x and z
-    then fix y through the left division L, L[x][T[x][y]] = y."""
-    tables = {id(t): t for con in constraints for t in con[3:]}
-    left = {key: tuple(tuple(sorted(range(len(row)), key=row.__getitem__)) for row in t)
-            for key, t in tables.items() if all(len(set(row)) == len(row) for row in t)}
-    cols = {id(t): tuple(zip(*t)) for t in (*tables.values(), *left.values())}
-    watch = [[] for _ in range(n_vars)]
-    for x, y, z, t, b in constraints:
-        watch[x].append((y, z, t))
-        watch[y].append((x, z, cols[id(t)]))
-        if z != x:
-            watch[z].append((y, x, b))
-            watch[y].append((z, x, cols[id(b)]))
-            if (div := left.get(id(t))) is not None:
-                watch[x].append((z, y, div))
-                watch[z].append((x, y, cols[id(div)]))
-    return watch
+def _closure(n_vars: int, constraints):
+    """close(known, v) marks v and what it determines known (unless not keep);
+    it returns (constraint, op, whether op assigns) per constraint completed,
+    each op reading only variables known before it."""
+    touching, left, forms = [[] for _ in range(n_vars)], {}, []
+    for i, (x, y, z, t, b) in enumerate(constraints):
+        for w in {x, y, z}:
+            touching[w].append(i)
+        if id(t) not in left:  # T's left division, if T is latin
+            left[id(t)] = (tuple(tuple(sorted(range(len(r)), key=r.__getitem__)) for r in t)
+                           if all(len(set(row)) == len(row) for row in t) else None)
+        forms.append([(z, t, x, y), (x, b, z, y)] + ([(y, left[id(t)], x, z)]
+                                                     if x != z and left[id(t)] else []))
+
+    def close(known: list, v: int, keep: bool = True) -> list:
+        known[v], found, done, made = True, [], set(), [v]
+        for w in made:  # grows; a constraint on a variable known before v is not met again
+            for i in touching[w]:
+                for op in forms[i] if i not in done else ():
+                    if known[op[2]] and known[op[3]]:
+                        break
+                else:
+                    continue
+                done.add(i)
+                found.append((i, op, not known[op[0]]))
+                if not known[op[0]]:
+                    known[op[0]] = True
+                    made.append(op[0])
+        if not keep:  # a trial: known is left as it was
+            for w in made:
+                known[w] = False
+        return found
+    return close
+
+
+def _mask_row(t, n: int, fixed: bool, i: int) -> list:
+    """Row i of table t's masks of a last variable, which the closure leaves
+    unknown only as y or as x and z: bit a of entry k is set where t[i][a] ==
+    k; if fixed (x and z), bit a of every entry is set where t[a][i] == a."""
+    if fixed:
+        return [sum(1 << a for a, r in enumerate(t) if r[i] == a)] * n
+    row = [0] * n
+    for a, w in enumerate(t[i]):
+        row[w] |= 1 << a
+    return row
+
+
+def _schedule(found) -> list:
+    """A level's ops as (c, t, a, b, whether a check): each check right after
+    the assigns it reads, so a failing one stops early; unread assigns last."""
+    maker, made, ops = {op[0]: k for k, (_, op, new) in enumerate(found) if new}, set(), []
+    for check in [op for _, op, new in found if not new] + [None]:
+        stack, need = list(maker) if check is None else [check[0], *check[2:]], []
+        while stack:
+            k = maker.get(stack.pop())
+            if k is not None and k not in made:
+                made.add(k)
+                need.append(k)
+                stack += found[k][1][2:]
+        ops += [(*found[k][1], False) for k in sorted(need)] + ([(*check, True)] if check else [])
+    return ops
+
+
+def _plan(n_vars: int, n: int, constraints, order, distinct: bool):
+    """The levels (v branched on, ops as _schedule makes them, the variables
+    they assign, masks). A last v left alone reads a mask (ops None) unless
+    values must differ or v is y and also x or z of a constraint."""
+    close, known, levels, level_of = _closure(n_vars, constraints), [False] * n_vars, [], {}
+    for v in (v for v in order if not known[v]):
+        found = close(known, v)
+        assigned = [op[0] for _, op, new in found if new]
+        level_of.update(dict.fromkeys([v, *assigned], len(levels)))
+        levels.append((v, _schedule(found), assigned, []))
+    kinks = any(y == v in (x, z) for x, y, z, *_ in (constraints[i] for i, *_ in found))
+    if distinct or assigned or kinks:
+        return levels
+    levels[-1], tables = (v, None, [], []), {}
+    for i, *_ in found:
+        x, y, z, t, _ = constraints[i]
+        rows = tables.setdefault((id(t), x == v), cache(partial(_mask_row, t, n, x == v)))
+        levels[max(level_of[w] for w in (x, y, z) if w != v)][3].append(
+            (rows, y, y) if x == v else (rows, x, z))
+    return levels
 
 
 def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
           distinct: bool = False, first=None):
-    """An iterator over the assignments (tuples of values) satisfying every
-    constraint, in search order.
-
-    ``order`` lists every variable (default range(n_vars)). ``distinct``
-    requires all values to differ. ``first`` lists the values order[0] tries
-    (default range(n)): one per orbit, say, when a symmetry gives the others.
-    The search runs as the iterator is read,
-    so a reader that stops early spends only the nodes before its last answer.
-    """
-    order = list(range(n_vars)) if order is None else list(order)
-    if not order:
+    """The assignments (tuples of values) satisfying every constraint, in
+    search order, found as the iterator is read. ``order`` lists every
+    variable (default range(n_vars)); ``distinct`` requires all values to
+    differ; ``first`` lists the values order[0] tries (default range(n))."""
+    if not n_vars:
         yield ()
         return
-    watch = _watch_lists(n_vars, constraints)
-    val = [-1] * n_vars
-    used = [False] * (n + 1)  # set only when distinct; used[-1] is spare, for val -1
-    trail = []  # variables set by propagation, in order
-    # checks[w]: w's watch entries with their tables' masks; None if distinct or at a kink
-    masks = {}
-    checks = [None if distinct or any(u == w for u, _, _ in entries) else
-              [(u, target, t, masks.setdefault(id(t), [None] * n)) for u, target, t in entries]
-              for w, entries in enumerate(watch)]
-
-    spend, depth, last = budget.spend, len(order), n_vars - 1
-    stack = []  # the branches above the one on order[pos]: (pos, mark, values)
-    pos, mark, values = 0, 0, iter(range(n) if first is None else first)  # values left to try
+    levels = _plan(n_vars, n, constraints, range(n_vars) if order is None else order, distinct)
+    # a value is read only below the level that set it, so none is cleared
+    val, top, spend = [0] * n_vars, len(levels) - 1, budget.spend
+    # acc[lvl]: the values taken above lvl if distinct, else those the masks allow
+    acc = [0 if distinct else -1] * (top + 2)
+    tried, lvl, values = [None] * top, 0, iter(range(n) if first is None else first)
     while True:
-        v = order[pos]
-        if len(stack) + mark == last and checks[v] is not None:
-            # v is the last unknown, so each of its watch entries is a check:
-            # AND one mask per entry instead of propagating each value
-            allowed = -1
-            for u, target, table, cache in checks[v]:
-                col = val[u]
-                if cache[col] is None:  # [t]: the b with table[b][col] == t;
-                    # [n], read as [-1] when target is v: those equal to b
-                    cache[col] = [0] * (n + 1)
-                    for b, row in enumerate(table):
-                        cache[col][row[col]] |= 1 << b
-                        cache[col][n] |= (row[col] == b) << b
-                allowed &= cache[col][val[target]]
+        v, ops, assigned, masks = levels[lvl]
+        if ops is None:  # the masked last level; its values are all tried here
+            allowed = acc[lvl]
             for a in values:
                 spend()
                 if allowed >> a & 1:
                     val[v] = a
                     yield tuple(val)
         for a in values:
-            if len(trail) > mark:  # undo what the value before propagated
-                for w in trail[mark:]:
-                    used[val[w]] = False
-                    val[w] = -1
-                del trail[mark:]
-            if distinct:
-                used[val[v]] = False  # the value before
-                if used[a]:
-                    continue
-                used[a] = True
+            if distinct and acc[lvl] >> a & 1:
+                continue
             spend()
             val[v] = a
-            pending = [v]  # assign everything v determines; a break is a conflict
-            while pending:
-                w = pending.pop()
-                row = val[w]
-                for u, target, table in watch[w]:
-                    col = val[u]
-                    if col < 0:
+            for c, t, x, y, check in ops:
+                w = t[val[x]][val[y]]
+                if not check:
+                    val[c] = w
+                elif val[c] != w:
+                    break
+            else:
+                bits = acc[lvl]
+                if distinct:
+                    bits |= sum(1 << w for w in {a, *map(val.__getitem__, assigned)})
+                    if bits.bit_count() <= acc[lvl].bit_count() + len(assigned):
                         continue
-                    want = table[row][col]
-                    have = val[target]
-                    if have == want:
-                        continue
-                    if have >= 0 or distinct and used[want]:
-                        break
-                    used[want] = distinct
-                    val[target] = want
-                    trail.append(target)
-                    pending.append(target)
-                else:
-                    continue  # w conflicts with nothing
-                break
-            else:  # no conflict: branch on the next unknown, or yield
-                nxt = pos + 1
-                while nxt < depth and val[order[nxt]] >= 0:
-                    nxt += 1
-                if nxt < depth:
-                    stack.append((pos, mark, values))
-                    pos, mark, values = nxt, len(trail), iter(range(n))
+                for rows, x, y in masks:
+                    bits &= rows(val[x])[val[y]]
+                acc[lvl + 1] = bits
+                if lvl < top:
+                    tried[lvl], lvl, values = values, lvl + 1, iter(range(n))
                     break
                 yield tuple(val)
-        else:  # every value tried; the next value of a branch above undoes them
-            used[val[v]] = False
-            val[v] = -1
-            if not stack:
+        else:  # every value tried: back to the level above
+            if not lvl:
                 return
-            pos, mark, values = stack.pop()
+            lvl, values = lvl - 1, tried[lvl - 1]
 
 
 def greedy_order(n_vars: int, constraints) -> list:
-    """A branch order: each next variable is the one whose assignment determines
-    the most unknown variables by two-way closure (ties to the least index),
-    followed by the variables it determines."""
-    watch = _watch_lists(n_vars, constraints)
-    known = [False] * n_vars
-
-    def closure(v: int) -> set:
-        found = {v}
-        pending = [v]
-        while pending:
-            for u, w, _ in watch[pending.pop()]:
-                if (known[u] or u in found) and not (known[w] or w in found):
-                    found.add(w)
-                    pending.append(w)
-        return found
-
-    order = []
+    """A branch order: each next variable is one that determines the most
+    unknown others (the least such), followed by those it determines."""
+    close, known, order = _closure(n_vars, constraints), [False] * n_vars, []
     while len(order) < n_vars:
-        best = max((v for v in range(n_vars) if not known[v]),
-                   key=lambda v: (len(closure(v)), -v))
-        determined = sorted(closure(best) - {best})
-        order += [best, *determined]
-        for w in order[-len(determined) - 1:]:
-            known[w] = True
+        best = max((v for v in range(n_vars) if not known[v]), key=lambda v: (
+            sum(new for *_, new in close(known, v, False)), -v))
+        order += [best, *sorted(op[0] for _, op, new in close(known, best) if new)]
     return order

@@ -24,7 +24,7 @@ from quandles.cohomology import _cohomology
 from quandles.invariants import _good_involution_defect
 from quandles.limits import Budget
 from quandles.permutations import _cycles
-from quandles.solve import _watch_lists, greedy_order
+from quandles.solve import greedy_order
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -465,13 +465,65 @@ def disjoint_union(a: Quandle, b: Quandle) -> Quandle:
     return Quandle(table)
 
 
+def watch_lists(n_vars: int, constraints):
+    """For each variable w, entries (u, target, table): once w and u are known,
+    target = table[value of w][value of u]. One entry per direction a
+    constraint propagates in: four, or two when x and z are one variable, and
+    two more when the rows of T are bijections too (T is latin), as x and z
+    then fix y through the left division L, L[x][T[x][y]] = y."""
+    tables = {id(t): t for con in constraints for t in con[3:]}
+    left = {key: tuple(tuple(sorted(range(len(row)), key=row.__getitem__)) for row in t)
+            for key, t in tables.items() if all(len(set(row)) == len(row) for row in t)}
+    cols = {id(t): tuple(zip(*t)) for t in (*tables.values(), *left.values())}
+    watch = [[] for _ in range(n_vars)]
+    for x, y, z, t, b in constraints:
+        watch[x].append((y, z, t))
+        watch[y].append((x, z, cols[id(t)]))
+        if z != x:
+            watch[z].append((y, x, b))
+            watch[y].append((z, x, cols[id(b)]))
+            if (div := left.get(id(t))) is not None:
+                watch[x].append((z, y, div))
+                watch[z].append((x, y, cols[id(div)]))
+    return watch
+
+
+def watch_closure(watch, known, v: int) -> set:
+    """v and the unknown variables it determines, by walking the watch lists
+    from the known ones (a list of flags)."""
+    found = {v}
+    pending = [v]
+    while pending:
+        for u, w, _ in watch[pending.pop()]:
+            if (known[u] or u in found) and not (known[w] or w in found):
+                found.add(w)
+                pending.append(w)
+    return found
+
+
+def watch_greedy_order(n_vars: int, constraints) -> list:
+    """greedy_order by watch lists: each next variable is the one whose
+    closure is largest (ties to the least index), then the variables it
+    determines, sorted."""
+    watch = watch_lists(n_vars, constraints)
+    known, order = [False] * n_vars, []
+    while len(order) < n_vars:
+        best = max((v for v in range(n_vars) if not known[v]),
+                   key=lambda v: (len(watch_closure(watch, known, v)), -v))
+        determined = sorted(watch_closure(watch, known, best) - {best})
+        order += [best, *determined]
+        for w in order[-len(determined) - 1:]:
+            known[w] = True
+    return order
+
+
 def reference_solve(n_vars: int, n: int, constraints, budget, order=None,
                     distinct: bool = False):
     """The solver as plain recursion, one generator per open branch and a
     value loop at every level: solutions in search order, one Budget node per
     value tried."""
     order = list(range(n_vars)) if order is None else list(order)
-    watch = _watch_lists(n_vars, constraints)
+    watch = watch_lists(n_vars, constraints)
     val = [-1] * n_vars
     used = [False] * n  # only set when distinct
     trail = []  # variables set by propagation, in order

@@ -546,6 +546,14 @@ def test_listings_print_what_the_public_functions_return(capsys, source):
             0, json.dumps(payload, sort_keys=True) + "\n", ""), argv
 
 
+@pytest.mark.parametrize("source", ["T 6", "R 12", "R 14", "P 10 (1 2)", "P 9 (1 2)(3 4)"])
+def test_goodinv_lines_are_the_cycle_notation_of_each_involution(capsys, source):
+    # the lines are made from "(x " and "y)" pieces; two-digit points included
+    rhos = [s.rho for s in good_involutions(load_quandle(source))]
+    assert run(capsys, "goodinv", source) == (
+        0, "\n".join([f"{len(rhos)} good involutions", *map(cycle_text, rhos)]) + "\n", "")
+
+
 ONE_COLUMN_CLASSES = [(f"P {n} {format_cycles(sigma)}", sigma.cycle_type) for n in range(2, 10)
                       for sigma in conjugacy_class_representatives(n)
                       if sigma.image != tuple(range(1, n + 1))]

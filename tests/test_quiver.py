@@ -2,6 +2,7 @@ import importlib
 import random
 import sys
 import time
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -16,6 +17,7 @@ from quandles import (
     SearchCapError,
     cocycle_invariant,
     colorings,
+    dihedral,
     endomorphisms,
     p_quandle,
     parse_cycles,
@@ -24,7 +26,9 @@ from quandles import (
     quiver_isomorphic,
     synthesize_link,
     theta_cocycle,
+    theta_weight,
     trivial,
+    two_cocycle_basis,
 )
 from quandles.limits import Budget
 
@@ -287,6 +291,21 @@ def test_cocycle_invariant_at_one_is_coloring_count():
     theta = theta_cocycle(2)
     for d in (HOPF, TORUS, TREFOIL, SPLIT2):
         assert cocycle_invariant(d, P3, theta).evaluate_at_one() == len(colorings(d, P3))
+
+
+@pytest.mark.parametrize("q", [P3, p_quandle(3, parse_cycles("(1 2)", 3)), dihedral(3),
+                               dihedral(4), trivial(2)], ids=["P2", "P3(12)", "R3", "R4", "T2"])
+def test_cocycle_invariant_sums_theta_weight_over_colorings(q):
+    # theta_weight is the per-coloring oracle of the weights cocycle_invariant sums
+    basis = two_cocycle_basis(q)
+    mixed = tuple(tuple(sum(k * c.values[x][y] for k, c in enumerate(basis, 1))
+                        for y in q.elements) for x in q.elements)
+    combos = [*basis, Cocycle2(q.m, mixed)]
+    diagrams = [load_diagram(p.name) for p in sorted(FIXTURES.glob("*.lnk"))]
+    for d in diagrams + [synthesize_link(LinkingGraph(((0, 2, -1), (2, 0, 1), (-1, 1, 0))))]:
+        for phi in combos:
+            assert cocycle_invariant(d, q, phi) == GroupRingElement(Counter(
+                theta_weight(d, q, phi, c) for c in colorings(d, q)))
 
 
 def test_cocycle_invariant_rejects_non_cocycles():

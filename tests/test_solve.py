@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 import re
 from bisect import bisect_right
+from collections import Counter
 from itertools import islice, product
 
 import pytest
@@ -24,6 +25,9 @@ from helpers import (
     p_coloring_tuple_predicate,
     recorded_budgets,
     reference_solve,
+    watch_closure,
+    watch_greedy_order,
+    watch_lists,
 )
 from quandles import (
     Coeff,
@@ -50,7 +54,7 @@ from quandles import (
 )
 from quandles import morphisms
 from quandles.limits import Budget
-from quandles.solve import greedy_order, solve
+from quandles.solve import _closure, _plan, greedy_order, solve
 
 ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -232,6 +236,71 @@ def test_fixture_colorings_match_the_reference_solver(name):
 @given(linking_graphs(max_m=4, max_w=3), st.sampled_from(ORACLE_QUANDLES))
 def test_synthesized_colorings_match_the_reference_solver(g, q):
     assert_solves_like_the_reference(coloring_problem(synthesize_link(g), q))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lnk")))
+def test_greedy_order_matches_the_watch_list_oracle_on_fixtures(name):
+    d = load_diagram(name)
+    for q in ORACLE_QUANDLES:
+        n_vars, _, constraints, order = coloring_problem(d, q)
+        assert order == watch_greedy_order(n_vars, constraints)
+
+
+@ORACLE
+@given(linking_graphs(max_m=4, max_w=3), st.sampled_from(ORACLE_QUANDLES))
+def test_greedy_order_matches_the_watch_list_oracle_on_synthesized_links(g, q):
+    n_vars, _, constraints, order = coloring_problem(synthesize_link(g), q)
+    assert order == watch_greedy_order(n_vars, constraints)
+
+
+def assert_plan_follows_the_closure(problem, distinct):
+    """Each plan level knows what the watch-list closure knows after its
+    branch variable, and each constraint is one op there: an assign or check
+    in a form its variables allow, or else a mask on the last variable."""
+    n_vars, n, constraints, order = problem
+    order = list(range(n_vars)) if order is None else order
+    levels = _plan(n_vars, n, constraints, order, distinct)
+    masked = levels[-1][1] is None
+    watch, close = watch_lists(n_vars, constraints), _closure(n_vars, constraints)
+    known, ref, seen = [False] * n_vars, [False] * n_vars, []
+    for k, (v, ops, assigned, _) in enumerate(levels):
+        assert v == next(w for w in order if not known[w])
+        found = close(known, v)
+        for w in watch_closure(watch, ref, v):
+            ref[w] = True
+        assert known == ref
+        for i, (c, t, x, y), new in found:
+            X, Y, Z, T, B = constraints[i]
+            assert ((c, x, y, t) in ((Z, X, Y, T), (X, Z, Y, B)) or (c, x, y) == (Y, X, Z) and all(
+                t[a][T[a][b]] == b for a in range(n) for b in range(n)))  # L[x][T[x][y]] = y
+        seen += [i for i, *_ in found]
+        if not (masked and k == len(levels) - 1):
+            assert sorted(assigned) == sorted(op[0] for _, op, new in found if new)
+            assert Counter(ops) == Counter((*op, not new) for _, op, new in found)
+    assert sorted(seen) == list(range(len(constraints)))
+    masks = sum(len(level[3]) for level in levels)
+    assert masks == (sum(levels[-1][0] in con[:3] for con in constraints) if masked else 0)
+    assert masks + sum(len(level[1] or ()) for level in levels) == len(constraints)
+
+
+@pytest.mark.parametrize("x", ORACLE_QUANDLES[:12], ids=ORACLE_NAMES[:12])
+def test_plan_ops_follow_the_reference_closure_on_hom_problems(x):
+    for y in ORACLE_QUANDLES[:12]:
+        for distinct in (False, True):
+            assert_plan_follows_the_closure(_hom_problem(x, y), distinct)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lnk")))
+def test_plan_ops_follow_the_reference_closure_on_fixtures(name):
+    d = load_diagram(name)
+    for q in ORACLE_QUANDLES:
+        assert_plan_follows_the_closure(coloring_problem(d, q), False)
+
+
+@ORACLE
+@given(linking_graphs(max_m=4, max_w=3), st.sampled_from(ORACLE_QUANDLES))
+def test_plan_ops_follow_the_reference_closure_on_synthesized_links(g, q):
+    assert_plan_follows_the_closure(coloring_problem(synthesize_link(g), q), False)
 
 
 @pytest.mark.parametrize("text", [(FIXTURES / "kink1.lnk").read_text(), "X 0 0 1 +\nX 1 1 0 +\n"])
