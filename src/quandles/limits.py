@@ -37,7 +37,9 @@ class Budget:
         if nodes > cap:
             raise SearchCapError(self)
 
-    def spend(self) -> None:
-        self.nodes += 1
+    def spend(self, k: int = 1) -> None:
+        """Charge k nodes; past the cap, stop on node cap + 1 as single charges do."""
+        self.nodes += k
         if self.nodes > self.cap:
+            self.nodes = self.cap + 1
             raise SearchCapError(self)

@@ -28,7 +28,7 @@ from itertools import accumulate
 from .limits import DEFAULT_SEARCH_CAP, Budget
 from .permutations import _cycles
 from .quandle import Quandle
-from .solve import greedy_order, solve
+from .solve import plan, solve
 
 
 class DiagramError(ValueError):
@@ -222,22 +222,22 @@ def colorings(d: LinkDiagram, q: Quandle):
 
     One solver constraint per crossing: under_out = T[under_in][over] with T
     the quandle table at a positive crossing and its inverse columns at a
-    negative one. The search branches in greedy_order and propagates each
-    crossing forward and backward. Each column S_y is an automorphism, and
-    c -> g∘c keeps the crossing rule as g(a*b) = g(a)*g(b), so Inn(q) permutes
-    the colorings. The first branch arc takes only the least point r of each
+    negative one. The plan picks each branch arc as the one that determines
+    the most others, and propagates each crossing forward and backward. Each
+    column S_y is an automorphism, and c -> g∘c keeps the crossing rule as
+    g(a*b) = g(a)*g(b), so Inn(q) permutes the colorings. The first branch arc takes only the least point r of each
     Inn-orbit; g∘c, with g inner and g(r) = e, gives the colorings where it is e.
     """
     op, bar = q.table, q.bar_table
     constraints = [(c.under_in, c.over, c.under_out) + ((op, bar) if c.sign > 0 else (bar, op))
                    for c in d.crossings]
-    order = greedy_order(d.n_arcs, constraints)
+    levels = plan(d.n_arcs, q.m, constraints)
     least, moves = q._orbits
     found = []
-    for colors in solve(d.n_arcs, q.m, constraints, Budget("coloring"), order=order,
+    for colors in solve(d.n_arcs, q.m, levels, Budget("coloring"),
                         first=[r for r in q.elements if least[r] == r]):
         found.append(colors)
-        found += [tuple(map(g.__getitem__, colors)) for g in moves[colors[order[0]]]]
+        found += [tuple(map(g.__getitem__, colors)) for g in moves[colors[levels[0][0]]]]
     return [Coloring(colors) for colors in sorted(found)]
 
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .limits import Budget
 from .quandle import Quandle
-from .solve import solve
+from .solve import plan, solve
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +118,8 @@ def _search(x: Quandle, y: Quandle, bijective: bool = False):
     sx, ty, by = x.table, y.table, y.bar_table
     constraints = [(a, g, sx[a][g], ty, by)
                    for g in _generators(sx) for a in range(x.m) if a != g]
-    return solve(x.m, y.m, constraints, Budget("hom"), distinct=bijective)
+    levels = plan(x.m, y.m, constraints, range(x.m), bijective)
+    return solve(x.m, y.m, levels, Budget("hom"), bijective)
 
 
 def homs(x: Quandle, y: Quandle):

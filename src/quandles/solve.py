@@ -5,10 +5,11 @@ z = T[x][y]; B holds the inverses of T's columns, which are bijections, so
 known x and y fix z and known y and z fix x = B[z][y]. If T is latin and
 x != z, known x and z fix y by left division. What is known at each branch
 level depends on the branch order alone, so each constraint is one op, fixed in
-advance at the level where its third variable becomes known. Levels try values
-in increasing order, one Budget node each; a last level with one variable left
-reads the values that pass from a bitmask ANDed in over the levels above
-(forward checking, Haralick & Elliott 1980).
+advance at the level where its third variable becomes known; given no order,
+the plan picks each branch variable. Levels try values in increasing order, one
+Budget node each; a last level with one variable left reads the values that
+pass from a bitmask ANDed in over the levels above (forward checking, Haralick
+& Elliott 1980) and charges those between two answers at once.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from .limits import Budget
 
 
 def _closure(n_vars: int, constraints):
-    """close(known, v) marks v and what it determines known (unless not keep);
-    it returns (constraint, op, whether op assigns) per constraint completed,
-    each op reading only variables known before it."""
+    """close(known, v) returns (constraint, op, whether op assigns) per
+    constraint that v and what it determines complete, each op reading only
+    variables known before it; known is left as it was."""
     touching, left, forms = [[] for _ in range(n_vars)], {}, []
     for i, (x, y, z, t, b) in enumerate(constraints):
         for w in {x, y, z}:
@@ -32,7 +33,7 @@ def _closure(n_vars: int, constraints):
         forms.append([(z, t, x, y), (x, b, z, y)] + ([(y, left[id(t)], x, z)]
                                                      if x != z and left[id(t)] else []))
 
-    def close(known: list, v: int, keep: bool = True) -> list:
+    def close(known: list, v: int) -> list:
         known[v], found, done, made = True, [], set(), [v]
         for w in made:  # grows; a constraint on a variable known before v is not met again
             for i in touching[w]:
@@ -46,9 +47,8 @@ def _closure(n_vars: int, constraints):
                 if not known[op[0]]:
                     known[op[0]] = True
                     made.append(op[0])
-        if not keep:  # a trial: known is left as it was
-            for w in made:
-                known[w] = False
+        for w in made:
+            known[w] = False
         return found
     return close
 
@@ -81,18 +81,23 @@ def _schedule(found) -> list:
     return ops
 
 
-def _plan(n_vars: int, n: int, constraints, order, distinct: bool):
+def plan(n_vars: int, n: int, constraints, order=None, distinct: bool = False) -> list:
     """The levels (v branched on, ops as _schedule makes them, the variables
-    they assign, masks). A last v left alone reads a mask (ops None) unless
-    values must differ or v is y and also x or z of a constraint."""
+    they assign, masks); with no order, each v is the one whose closure assigns
+    the most, the least on ties. A last v left alone reads a mask (ops None)
+    unless values must differ or v is y and also x or z of a constraint."""
     close, known, levels, level_of = _closure(n_vars, constraints), [False] * n_vars, [], {}
-    for v in (v for v in order if not known[v]):
-        found = close(known, v)
+    rest = iter(order or ())
+    while not all(known):
+        picks = range(n_vars) if order is None else [next(v for v in rest if not known[v])]
+        found, v = max(((close(known, v), v) for v in picks if not known[v]),
+                       key=lambda trial: (sum(new for *_, new in trial[0]), -trial[1]))
         assigned = [op[0] for _, op, new in found if new]
-        level_of.update(dict.fromkeys([v, *assigned], len(levels)))
+        for w in (v, *assigned):
+            known[w], level_of[w] = True, len(levels)
         levels.append((v, _schedule(found), assigned, []))
-    kinks = any(y == v in (x, z) for x, y, z, *_ in (constraints[i] for i, *_ in found))
-    if distinct or assigned or kinks:
+    if distinct or not levels or assigned or any(
+            y == v in (x, z) for x, y, z, *_ in (constraints[i] for i, *_ in found)):
         return levels
     levels[-1], tables = (v, None, [], []), {}
     for i, *_ in found:
@@ -103,16 +108,14 @@ def _plan(n_vars: int, n: int, constraints, order, distinct: bool):
     return levels
 
 
-def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
-          distinct: bool = False, first=None):
+def solve(n_vars: int, n: int, levels, budget: Budget, distinct: bool = False, first=None):
     """The assignments (tuples of values) satisfying every constraint, in
-    search order, found as the iterator is read. ``order`` lists every
-    variable (default range(n_vars)); ``distinct`` requires all values to
-    differ; ``first`` lists the values order[0] tries (default range(n))."""
-    if not n_vars:
+    search order, found as the iterator is read. ``levels`` is the plan made
+    with the same ``distinct``, which requires all values to differ; ``first``
+    lists the values levels[0]'s variable tries (default range(n))."""
+    if not levels:
         yield ()
         return
-    levels = _plan(n_vars, n, constraints, range(n_vars) if order is None else order, distinct)
     # a value is read only below the level that set it, so none is cleared
     val, top, spend = [0] * n_vars, len(levels) - 1, budget.spend
     # acc[lvl]: the values taken above lvl if distinct, else those the masks allow
@@ -121,12 +124,14 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
     while True:
         v, ops, assigned, masks = levels[lvl]
         if ops is None:  # the masked last level; its values are all tried here
-            allowed = acc[lvl]
+            allowed, owed = acc[lvl], 0
             for a in values:
-                spend()
+                owed += 1
                 if allowed >> a & 1:
-                    val[v] = a
+                    spend(owed)  # the values up to this answer
+                    owed, val[v] = 0, a
                     yield tuple(val)
+            spend(owed)
         for a in values:
             if distinct and acc[lvl] >> a & 1:
                 continue
@@ -156,13 +161,3 @@ def solve(n_vars: int, n: int, constraints, budget: Budget, order=None,
                 return
             lvl, values = lvl - 1, tried[lvl - 1]
 
-
-def greedy_order(n_vars: int, constraints) -> list:
-    """A branch order: each next variable is one that determines the most
-    unknown others (the least such), followed by those it determines."""
-    close, known, order = _closure(n_vars, constraints), [False] * n_vars, []
-    while len(order) < n_vars:
-        best = max((v for v in range(n_vars) if not known[v]), key=lambda v: (
-            sum(new for *_, new in close(known, v, False)), -v))
-        order += [best, *sorted(op[0] for _, op, new in close(known, best) if new)]
-    return order

@@ -24,7 +24,7 @@ from quandles.cohomology import _cohomology
 from quandles.invariants import _good_involution_defect
 from quandles.limits import Budget
 from quandles.permutations import _cycles
-from quandles.solve import greedy_order
+from quandles.solve import plan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,13 +168,20 @@ def all_ones_graph(k: int) -> LinkingGraph:
     return LinkingGraph(tuple(tuple(int(i != j) for j in range(k)) for i in range(k)))
 
 
+def plan_order(levels) -> list:
+    """The branch order of a solver plan: each level's variable, then the
+    variables it assigns, sorted."""
+    return [w for v, _, assigned, _ in levels for w in (v, *sorted(assigned))]
+
+
 def coloring_problem(d: LinkDiagram, q: Quandle):
     """(variables, values, constraints, order) of the solver problem that
-    colorings() builds for d over q, with every value tried on each arc."""
+    colorings() builds for d over q, with every value tried on each arc; the
+    order is that of the plan colorings() makes."""
     constraints = [(c.under_in, c.over, c.under_out)
                    + ((q.table, q.bar_table) if c.sign > 0 else (q.bar_table, q.table))
                    for c in d.crossings]
-    return d.n_arcs, q.m, constraints, greedy_order(d.n_arcs, constraints)
+    return d.n_arcs, q.m, constraints, plan_order(plan(d.n_arcs, q.m, constraints))
 
 
 def recorded_budgets(monkeypatch, target):
@@ -502,8 +509,8 @@ def watch_closure(watch, known, v: int) -> set:
 
 
 def watch_greedy_order(n_vars: int, constraints) -> list:
-    """greedy_order by watch lists: each next variable is the one whose
-    closure is largest (ties to the least index), then the variables it
+    """The greedy branch order by watch lists: each next variable is the one
+    whose closure is largest (ties to the least index), then the variables it
     determines, sorted."""
     watch = watch_lists(n_vars, constraints)
     known, order = [False] * n_vars, []

@@ -34,7 +34,7 @@ from quandles import (
     trivial,
 )
 from quandles.limits import Budget
-from quandles.solve import solve
+from quandles.solve import plan, solve
 
 P3 = p_quandle(2, parse_cycles("(1 2)", 2))
 HOPF = load_diagram("hopf_pos.lnk")
@@ -275,7 +275,7 @@ def _unrestricted(d, q):
     value tried on the first branch arc."""
     n_vars, n, constraints, order = coloring_problem(d, q)
     budget = Budget("test")
-    return sorted(solve(n_vars, n, constraints, budget, order=order)), budget.nodes
+    return sorted(solve(n_vars, n, plan(n_vars, n, constraints, order), budget)), budget.nodes
 
 
 def test_colorings_match_brute_force_on_every_small_labelled_quandle():

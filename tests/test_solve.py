@@ -23,6 +23,7 @@ from helpers import (
     coloring_problem,
     load_diagram,
     p_coloring_tuple_predicate,
+    plan_order,
     recorded_budgets,
     reference_solve,
     watch_closure,
@@ -54,7 +55,7 @@ from quandles import (
 )
 from quandles import morphisms
 from quandles.limits import Budget
-from quandles.solve import _closure, _plan, greedy_order, solve
+from quandles.solve import _closure, plan, solve
 
 ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -141,7 +142,13 @@ SWEEP_NODES = 300
 def _hom_problem(x, y):
     constraints = [(a, b, x.table[a][b], y.table, y.bar_table)
                    for a in range(x.m) for b in range(x.m) if a != b]
-    return x.m, y.m, constraints, None
+    return x.m, y.m, constraints, list(range(x.m))
+
+
+def planned_solve(n_vars, n, constraints, budget, order=None, distinct=False):
+    """solve run on its plan, called as reference_solve is; with no order the
+    plan picks it, where reference_solve takes range(n_vars)."""
+    return solve(n_vars, n, plan(n_vars, n, constraints, order, distinct), budget, distinct)
 
 
 def _run(search, problem, distinct=False, cap=None):
@@ -167,13 +174,13 @@ def assert_solves_like_the_reference(problem, distinct=False, sweep=False):
     every cap below a count of at most SWEEP_NODES stops the search on node
     cap + 1, after the answers the reference yields within cap nodes."""
     want = _run(reference_solve, problem, distinct)
-    assert _run(solve, problem, distinct) == want
+    assert _run(planned_solve, problem, distinct) == want
     answers, nodes_at, nodes, _ = want
     if sweep and nodes <= SWEEP_NODES:
         for cap in range(nodes):
             k = bisect_right(nodes_at, cap)  # the answers found within cap nodes
             stopped = (answers[:k], nodes_at[:k], cap + 1, True)
-            assert _run(solve, problem, distinct, cap) == stopped
+            assert _run(planned_solve, problem, distinct, cap) == stopped
 
 
 @pytest.mark.parametrize("x", ORACLE_QUANDLES, ids=ORACLE_NAMES)
@@ -205,7 +212,7 @@ def test_hom_search_on_generators_matches_all_pairs(x, monkeypatch):
                 answers.append(image)
                 nodes_at.append(made[-1].nodes)
             assert (answers, nodes_at, made[-1].nodes, False) == _run(
-                solve, _hom_problem(x, y), distinct)
+                planned_solve, _hom_problem(x, y), distinct)
 
 
 def test_generators_are_taken_greedily():
@@ -256,16 +263,19 @@ def test_greedy_order_matches_the_watch_list_oracle_on_synthesized_links(g, q):
 def assert_plan_follows_the_closure(problem, distinct):
     """Each plan level knows what the watch-list closure knows after its
     branch variable, and each constraint is one op there: an assign or check
-    in a form its variables allow, or else a mask on the last variable."""
+    in a form its variables allow, or else a mask on the last variable. With
+    no order, the plan's branch variables are watch_greedy_order's picks."""
     n_vars, n, constraints, order = problem
-    order = list(range(n_vars)) if order is None else order
-    levels = _plan(n_vars, n, constraints, order, distinct)
+    levels = plan(n_vars, n, constraints, order, distinct)
+    order = watch_greedy_order(n_vars, constraints) if order is None else order
     masked = levels[-1][1] is None
     watch, close = watch_lists(n_vars, constraints), _closure(n_vars, constraints)
     known, ref, seen = [False] * n_vars, [False] * n_vars, []
     for k, (v, ops, assigned, _) in enumerate(levels):
         assert v == next(w for w in order if not known[w])
         found = close(known, v)
+        for w in (v, *(op[0] for _, op, new in found if new)):
+            known[w] = True
         for w in watch_closure(watch, ref, v):
             ref[w] = True
         assert known == ref
@@ -294,13 +304,13 @@ def test_plan_ops_follow_the_reference_closure_on_hom_problems(x):
 def test_plan_ops_follow_the_reference_closure_on_fixtures(name):
     d = load_diagram(name)
     for q in ORACLE_QUANDLES:
-        assert_plan_follows_the_closure(coloring_problem(d, q), False)
+        assert_plan_follows_the_closure((*coloring_problem(d, q)[:3], None), False)
 
 
 @ORACLE
 @given(linking_graphs(max_m=4, max_w=3), st.sampled_from(ORACLE_QUANDLES))
 def test_plan_ops_follow_the_reference_closure_on_synthesized_links(g, q):
-    assert_plan_follows_the_closure(coloring_problem(synthesize_link(g), q), False)
+    assert_plan_follows_the_closure((*coloring_problem(synthesize_link(g), q)[:3], None), False)
 
 
 @pytest.mark.parametrize("text", [(FIXTURES / "kink1.lnk").read_text(), "X 0 0 1 +\nX 1 1 0 +\n"])
@@ -317,16 +327,16 @@ def test_solver_options():
     # z = T[x][y] over the dihedral quandle R3, variables (x, y, z)
     r3 = dihedral(3)
     con = [(0, 1, 2, r3.table, r3.bar_table)]
-    every = list(solve(3, 3, con, Budget("test")))
+    every = list(planned_solve(3, 3, con, Budget("test")))
     assert every == sorted((x, y, r3.op(x, y)) for x in range(3) for y in range(3))
-    assert list(islice(solve(3, 3, con, Budget("test")), 1)) == every[:1]
-    assert list(solve(3, 3, con, Budget("test"), distinct=True)) == [
+    assert list(islice(planned_solve(3, 3, con, Budget("test")), 1)) == every[:1]
+    assert list(planned_solve(3, 3, con, Budget("test"), distinct=True)) == [
         s for s in every if len(set(s)) == 3]
     # branching on z and y first reaches x through the inverse columns
     budget = Budget("test")
-    backward = list(solve(3, 3, con, budget, order=[2, 1, 0]))
+    backward = list(planned_solve(3, 3, con, budget, order=[2, 1, 0]))
     assert sorted(backward) == every and budget.nodes == 3 + 9
-    assert list(solve(0, 3, [], Budget("test"))) == [()]
+    assert list(planned_solve(0, 3, [], Budget("test"))) == [()]
 
 
 @pytest.mark.parametrize("limit", (None, 1, 2, 8, 9, 10, 100))
@@ -335,8 +345,8 @@ def test_emit_takes_each_solution_up_to_the_limit(limit):
     # the first `limit` of them read off the iterator are its first in order
     r3 = dihedral(3)
     con = [(0, 1, 2, r3.table, r3.bar_table)]
-    every = list(solve(3, 3, con, Budget("test")))
-    assert list(islice(solve(3, 3, con, Budget("test")), limit)) == every[:limit]
+    every = list(planned_solve(3, 3, con, Budget("test")))
+    assert list(islice(planned_solve(3, 3, con, Budget("test")), limit)) == every[:limit]
     q = p_quandle(3, parse_cycles("(1 2)", 3))
     total = len(homs(q, q))
     taken = list(islice(morphisms._search(q, q), limit))
@@ -348,10 +358,10 @@ def test_the_first_solution_spends_fewer_nodes_than_all():
     r3 = dihedral(3)
     con = [(0, 1, 2, r3.table, r3.bar_table)]
     first, every = Budget("test"), Budget("test")
-    solutions = solve(3, 3, con, first)
+    solutions = planned_solve(3, 3, con, first)
     assert first.nodes == 0
     assert next(solutions) == (0, 0, 0) and first.nodes == 2
-    assert len(list(solve(3, 3, con, every))) == 9 and every.nodes == 3 + 9
+    assert len(list(planned_solve(3, 3, con, every))) == 9 and every.nodes == 3 + 9
 
 
 def test_greedy_order_branches_on_determining_arcs():
@@ -359,11 +369,11 @@ def test_greedy_order_branches_on_determining_arcs():
     d = synthesize_link(LinkingGraph(((0, 5, 1), (5, 0, 1), (1, 1, 0))))
     q = p_quandle(4, parse_cycles("(1 2)", 4))
     constraints = [(c.under_in, c.over, c.under_out, q.table, q.bar_table) for c in d.crossings]
-    order = greedy_order(d.n_arcs, constraints)
-    assert sorted(order) == list(range(d.n_arcs))
+    levels = plan(d.n_arcs, q.m, constraints)
+    assert len(levels) == 3 and sorted(plan_order(levels)) == list(range(d.n_arcs))
     greedy, by_index = Budget("test"), Budget("test")
-    assert (sorted(solve(d.n_arcs, q.m, constraints, greedy, order=order))
-            == list(solve(d.n_arcs, q.m, constraints, by_index)))
+    assert (sorted(solve(d.n_arcs, q.m, levels, greedy))
+            == list(planned_solve(d.n_arcs, q.m, constraints, by_index, range(d.n_arcs))))
     assert greedy.nodes == 5 + 5**2 + 5**3 < by_index.nodes
 
 
@@ -387,6 +397,11 @@ def test_twist_ladder_is_linear_in_crossings(coloring_budgets):
     count_100, nodes_100 = _twist_nodes(100, coloring_budgets)
     assert count_50 == count_100 == 93
     assert nodes_50 == nodes_100 == _twist_nodes(7, coloring_budgets)[1] == 4 * (1 + 5 + 25)
+    # at a kink the arc is its own over-arc, so it fixes the next arc: the
+    # plan branches on kink arc 1 (fixing 0), then on 2 (fixing 3), in
+    # 4 * (1 + 5) nodes; index order (arc 0 first) would take 44
+    found = colorings(load_diagram("hopf_kink.lnk"), p_quandle(4, parse_cycles("(1 2)", 4)))
+    assert len(found) == 21 and coloring_budgets[-1].nodes == 24
 
 
 def test_k6_over_r5_finishes_under_the_benchmark_cap(coloring_budgets, monkeypatch):
