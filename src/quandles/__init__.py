@@ -61,7 +61,7 @@ from .permutations import (
     order,
     parse_cycles,
 )
-from .quandle import AxiomError, Quandle, dihedral, from_table, p_quandle, trivial
+from .quandle import AxiomError, Quandle, dihedral, p_quandle, trivial
 from .quiver import (
     GroupRingElement,
     Quiver,

@@ -185,7 +185,7 @@ class CochainComplexSlice:
     relations: tuple | None = None
 
     def __post_init__(self):
-        if not linalg.is_zero_matrix(linalg.mat_mul(self.delta_out, self.delta_in)):
+        if any(linalg.mat_mul(self.delta_out, self.delta_in)):
             raise AssertionError("coboundary composed with itself is nonzero")
 
 

@@ -26,9 +26,6 @@ class _Terms:
 class TwoVarPolynomial(_Terms):
     """Sum of c * s^i t^j terms with integer coefficients."""
 
-    def total(self) -> int:
-        return sum(self.terms.values())
-
     def __str__(self) -> str:
         # descending t-degree, then descending s-degree
         if not self.terms:

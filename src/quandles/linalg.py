@@ -42,10 +42,6 @@ def transpose(a, cols: int):
     return list(map(tuple, out))
 
 
-def is_zero_matrix(a) -> bool:
-    return not any(a)
-
-
 def rank(a, p: int | None = None) -> int:
     """Rank over Q (p=None) or GF(p), from the invariant factors."""
     return sum(1 for d in smith_normal_form(a) if p is None or d % p)

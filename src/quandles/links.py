@@ -165,9 +165,6 @@ class LinkingGraph:
     def m(self) -> int:
         return len(self.weights)
 
-    def to_json(self) -> str:
-        return json.dumps({"m": self.m, "weights": [list(r) for r in self.weights]})
-
     @classmethod
     def from_json(cls, text: str) -> "LinkingGraph":
         data = json.loads(text)
@@ -184,6 +181,8 @@ def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     """Half the signed count of crossings between components i and j."""
     if i == j:
         raise ValueError("linking number needs two distinct components")
+    if not (0 <= i < d.n_components and 0 <= j < d.n_components):
+        raise ValueError(f"components must lie in 0..{d.n_components - 1}")
     owner = d.component_of
     total = sum(c.sign for c in d.crossings if {owner[c.under_in], owner[c.over]} == {i, j})
     if total % 2:

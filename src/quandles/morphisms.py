@@ -28,22 +28,12 @@ class QuandleMap:
     target: Quandle
     image: tuple
 
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
     def verify(self) -> bool:
         s, t, f = self.source.table, self.target.table, self.image
         if len(f) != self.source.m or not all(0 <= v < self.target.m for v in f):
             return False
         return all(f[s[x][y]] == t[f[x]][f[y]]
                    for x in range(self.source.m) for y in range(self.source.m))
-
-    def compose(self, other: "QuandleMap") -> "QuandleMap":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("composition domain mismatch")
-        return QuandleMap(other.source, self.target,
-                          tuple(self.image[v] for v in other.image))
 
 
 class FiniteGroupTable:
@@ -150,17 +140,17 @@ def _group_table(images):
     rows, gens = [None] * len(images), []
     try:
         if images:  # the identity's row
-            rows[index[tuple(range(len(images[0])))]] = list(range(len(images)))
+            rows[index[tuple(range(len(images[0])))]] = tuple(range(len(images)))
         for a, f in enumerate(images):
             if rows[a] is None:  # so two or more images: f after each g, concatenated
                 cells = itemgetter(*chain.from_iterable(images))(f)
-                rows[a] = list(map(index.__getitem__, zip(*[iter(cells)] * len(f))))
+                rows[a] = tuple(map(index.__getitem__, zip(*[iter(cells)] * len(f))))
                 gens.append(rows[a])
                 reached = [h for h, row in enumerate(rows) if row is not None]
                 for h in reached:  # grows while walked: closes it under gens
                     for row_b in gens:
                         if rows[k := row_b[h]] is None:
-                            rows[k] = list(map(row_b.__getitem__, rows[h]))
+                            rows[k] = itemgetter(*rows[h])(row_b)  # a tuple: two or more images
                             reached.append(k)
     except KeyError:
         raise ValueError("set of maps is not closed under composition") from None

@@ -9,7 +9,6 @@ start at 0 instead of 1.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from functools import cached_property
@@ -59,20 +58,6 @@ class Permutation:
 
     def fixed_points(self):
         return [i + 1 for i, v in enumerate(self.image) if v == i + 1]
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "image": list(self.image)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Permutation":
-        data = json.loads(text)
-        image = data.get("image") if isinstance(data, dict) else None
-        if not isinstance(image, list):
-            raise ValueError('permutation JSON needs an "image" field: a list of points')
-        perm = cls(image)
-        if perm.n != data.get("n"):
-            raise ValueError("degree field does not match image length")
-        return perm
 
 
 def _cycles(image, first: int):

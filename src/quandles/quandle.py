@@ -152,11 +152,6 @@ def _validate(table) -> None:
                          f"{table[table[x][z]][table[y][z]]}")
 
 
-def from_table(table) -> Quandle:
-    """Validate and wrap an explicit Cayley table."""
-    return Quandle(table)
-
-
 def trivial(m: int) -> Quandle:
     """T_m: x*y = x."""
     if m < 1:

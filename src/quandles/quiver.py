@@ -27,11 +27,6 @@ class GroupRingElement(_Terms):
 
     coeffs = property(lambda self: self.terms, doc="The coefficient of each power of t.")
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = Counter(self.terms)
-        out.update(other.terms)  # adds, keeping negative sums, unlike Counter's +
-        return GroupRingElement(out)
-
     def evaluate_at_one(self) -> int:
         return sum(self.terms.values())
 
@@ -71,14 +66,15 @@ class Quiver:
 
 
 def quiver(d: LinkDiagram, q: Quandle, s) -> Quiver:
-    """The coloring quiver of d under the endomorphism set s."""
+    """The coloring quiver of d under the endomorphism set s. Its edges, one per
+    coloring and map, are charged to a "quiver" Budget before any map is checked."""
+    verts = colorings(d, q)
+    Budget("quiver", len(verts) * len(s))
     for f in s:
         if not isinstance(f, QuandleMap) or f.source != q or f.target != q:
             raise ValueError("S must consist of endomorphisms of the coloring quandle")
         if not f.verify():
             raise ValueError(f"map {f.image} is not an endomorphism")
-    verts = colorings(d, q)
-    Budget("quiver", len(verts) * len(s))  # the edges, charged before any is built
     # recolor[i](f) is f after coloring i, keyed alike: an int for a one-arc diagram
     recolor = [itemgetter(*v.colors) for v in verts]
     index = {get(range(q.m)): i for i, get in enumerate(recolor)}

@@ -335,9 +335,9 @@ def test_criterion_14_chain_complex_laws():
             for n in (2, 3):
                 lower = boundary_matrix(q, n)
                 upper = boundary_matrix(q, n + 1)
-                assert linalg.is_zero_matrix(linalg.mat_mul(lower, upper))
+                assert not any(linalg.mat_mul(lower, upper))
                 c_n, c_above = (len(tuple_basis(q, k)) for k in (n, n + 1))
                 dual = linalg.mat_mul(linalg.transpose(upper, c_above),
                                       linalg.transpose(lower, c_n))
-                assert linalg.is_zero_matrix(dual)
+                assert not any(dual)
                 cochain_slice(q, n)  # validates the same law at construction

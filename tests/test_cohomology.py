@@ -67,8 +67,8 @@ def test_boundary_degree_two_formula():
 
 
 def test_boundary_trivial_quandle_vanishes():
-    assert linalg.is_zero_matrix(boundary_matrix(trivial(2), 2))
-    assert linalg.is_zero_matrix(boundary_matrix(trivial(3), 3))
+    assert not any(boundary_matrix(trivial(2), 2))
+    assert not any(boundary_matrix(trivial(3), 3))
 
 
 @pytest.mark.parametrize("q", [trivial(3), dihedral(3), P3,
@@ -77,7 +77,7 @@ def test_chain_complex_law(q):
     for n in (2, 3):
         b_n = boundary_matrix(q, n)
         b_next = boundary_matrix(q, n + 1)
-        assert linalg.is_zero_matrix(linalg.mat_mul(b_n, b_next))
+        assert not any(linalg.mat_mul(b_n, b_next))
         sl = cochain_slice(q, n)  # raises if the dual composition is nonzero
         # the slice's coboundary rows are the boundaries, transposed
         assert list(sl.delta_in) == linalg.transpose(b_n, len(sl.basis))
@@ -91,7 +91,7 @@ def test_boundary_bounds():
         for build in (boundary_matrix, lambda q, n: cohomology_Q(q, n, "Z")):
             with pytest.raises(ValueError, match=f"^degree {n} is below 2$"):
                 build(q, n)
-    assert linalg.is_zero_matrix(linalg.mat_mul(boundary_matrix(P3, 5), boundary_matrix(P3, 6)))
+    assert not any(linalg.mat_mul(boundary_matrix(P3, 5), boundary_matrix(P3, 6)))
     assert str(cohomology_Q(dihedral(4), 5, "Z")) == "Z^2" + " (+) Z/2" * 10
     assert str(cohomology_Q(P3, 5, "Z")) == "Z^2"
     assert str(cohomology_Q(trivial(2), 5, "Z")) == "Z^2"

@@ -95,6 +95,9 @@ def test_linking_numbers():
     assert linking_number(KINK, 0, 1) == 1
     with pytest.raises(ValueError):
         linking_number(HOPF, 1, 1)
+    for i, j in ((0, 99), (-1, 5), (2, 0), (0, -1)):
+        with pytest.raises(ValueError, match=r"^components must lie in 0\.\.1$"):
+            linking_number(HOPF, i, j)
 
 
 def test_linking_number_odd_sum_is_an_error():
@@ -118,7 +121,7 @@ def test_linking_graph_validation():
         with pytest.raises(ValueError, match="not an integer"):
             LinkingGraph(((0, bad), (bad, 0)))
     g = LinkingGraph(((0, -3), (-3, 0)))
-    assert LinkingGraph.from_json(g.to_json()) == g
+    assert LinkingGraph.from_json('{"m": 2, "weights": [[0, -3], [-3, 0]]}') == g
 
 
 def test_hopf_colorings_with_p3():

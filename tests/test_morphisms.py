@@ -21,6 +21,7 @@ from helpers import (
 )
 from quandles import (
     FiniteGroupTable,
+    Quandle,
     QuandleMap,
     SearchCapError,
     all_permutations,
@@ -30,7 +31,6 @@ from quandles import (
     dihedral,
     endomorphisms,
     format_cycles,
-    from_table,
     hom_quandle,
     homs,
     inner_group,
@@ -213,7 +213,7 @@ def test_isomorphism_examples():
 
 def test_the_empty_quandle_is_isomorphic_to_itself_by_the_empty_map():
     # its only map is (), which is falsy: found is told apart from None
-    empty = from_table([])
+    empty = Quandle([])
     f = is_isomorphic(empty, empty)
     assert f is not None and f.image == () and f.verify()
 
@@ -289,19 +289,12 @@ def test_groups_of_order_one_and_two_pass_the_checks():
     # one-index itemgetter result is compared with a row
     one = FiniteGroupTable([[0]])
     assert (one.order, one.identity, one.is_cyclic(), one.element_orders()) == (1, 0, True, [1])
-    for q, order_ in ((from_table([]), 1), (trivial(1), 1), (trivial(2), 2), (trivial(3), 6)):
+    for q, order_ in ((Quandle([]), 1), (trivial(1), 1), (trivial(2), 2), (trivial(3), 6)):
         maps, group = automorphism_group(q)
         assert group.order == len(maps) == order_
         assert group.table == composition_table([f.image for f in maps]).table
     assert inner_group(trivial(3)).table == ((0,),)
-    assert inner_group(from_table([])).table == ((0,),)
-
-
-def test_quandle_map_compose():
-    f = QuandleMap(P3, P3, (0, 2, 1))
-    g = QuandleMap(P3, P3, (1, 1, 1))
-    assert f.compose(g).image == (2, 2, 2)
-    assert g.compose(f).image == (1, 1, 1)
+    assert inner_group(Quandle([])).table == ((0,),)
 
 
 def test_quandle_map_verify_rejects_wrong_length_and_range():

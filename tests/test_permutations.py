@@ -239,18 +239,6 @@ def test_representatives_cover_all_cycle_types():
         assert {r.cycle_type for r in reps} == {g.cycle_type for g in all_permutations(n)}
 
 
-def test_json_round_trip():
-    a = P("(1 2 3)", 4)
-    assert Permutation.from_json(a.to_json()) == a
-
-
-@pytest.mark.parametrize("text", ["{}", "[1]", '{"n": 1}', '{"n": 2, "image": 5}',
-                                  '{"n": 2, "image": [1, "2"]}'])
-def test_from_json_rejects_malformed_input(text):
-    with pytest.raises(ValueError):
-        Permutation.from_json(text)
-
-
 @pytest.mark.parametrize("image", [(True, 2), (2, True), (1.0, 2.0)])
 def test_constructor_rejects_non_integer_points(image):
     with pytest.raises(ValueError):

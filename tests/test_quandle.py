@@ -17,7 +17,6 @@ from quandles import (
     Quandle,
     all_permutations,
     dihedral,
-    from_table,
     p_quandle,
     parse_cycles,
     trivial,
@@ -39,8 +38,8 @@ def test_order_three_tables():
 
 
 def test_from_table_accepts_valid():
-    assert from_table(P3_TABLE).table == P3_TABLE
-    assert from_table(T3_TABLE) == trivial(3)
+    assert Quandle(P3_TABLE).table == P3_TABLE
+    assert Quandle(T3_TABLE) == trivial(3)
 
 
 def test_orders_zero_one_and_two_validate():
@@ -57,14 +56,14 @@ def test_orders_zero_one_and_two_validate():
 
 def test_from_table_rejects_bad_column():
     with pytest.raises(AxiomError) as exc:
-        from_table([[0, 0], [0, 1]])
+        Quandle([[0, 0], [0, 1]])
     assert exc.value.axiom == "column-bijection"
     assert exc.value.witness == 0
 
 
 def test_from_table_rejects_bad_diagonal():
     with pytest.raises(AxiomError) as exc:
-        from_table([[1, 0], [1, 1]])
+        Quandle([[1, 0], [1, 1]])
     assert exc.value.axiom == "idempotence"
     assert exc.value.witness == 0
 
@@ -73,17 +72,17 @@ def test_from_table_rejects_non_distributive():
     # idempotent with bijective columns, but (0*1)*2 != (0*2)*(1*2)
     bad = [[0, 2, 1], [1, 1, 0], [2, 0, 2]]
     with pytest.raises(AxiomError) as exc:
-        from_table(bad)
+        Quandle(bad)
     assert exc.value.axiom == "self-distributivity"
     assert exc.value.witness == (0, 1, 2)
 
 
 def test_from_table_rejects_out_of_range():
     with pytest.raises(AxiomError) as exc:
-        from_table([[0, 5], [1, 1]])
+        Quandle([[0, 5], [1, 1]])
     assert exc.value.axiom == "range"
     with pytest.raises(AxiomError) as exc:
-        from_table([[0, 0], [True, 1]])
+        Quandle([[0, 0], [True, 1]])
     assert exc.value.axiom == "range" and exc.value.witness == (1, 0)
 
 
@@ -182,7 +181,7 @@ def test_is_abelian_matches_the_medial_law_on_every_quadruple():
                  *map(conjugation_quandle, _conjugacy_classes(4))]
     for q in quandles_:
         assert q.is_abelian() == medial_law_holds(q), q.table
-    assert from_table([]).is_abelian()
+    assert Quandle([]).is_abelian()
 
 
 def test_p_quandles_are_abelian_exhaustively():
