@@ -212,7 +212,7 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
         Budget("cochain", sum(sizes))
     else:  # a block holds |P|/m of each basis, so (|P|/m)^2 of the whole slice's cells
         whole = sizes[1] * (sizes[0] + sizes[2] + rows * sizes[1])
-        Budget("cochain", whole * sum(p * p for p in Counter(orbit).values()) // q.m**2)
+        Budget("cochain", whole * sum(p * p for p in Counter(orbit).values()) // (q.m**2 or 1))
     if split and rho is None and all(columns[1]):  # a trivial quandle: every face cancels
         yield cochain_slice(q, n, rho, (columns, ((), tuple_basis(q, n), ())))
         return

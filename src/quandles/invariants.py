@@ -117,15 +117,18 @@ def _good_involution_defect(q: Quandle, rho):
     return None
 
 
-def _involutions(q: Quandle, budget: Budget):
-    """The involutions of {0..m-1}, made one at a time in lex order, that fix or
-    pair x only with a y whose column is the inverse of x's column, as x*rho(y)
-    = bar(x, y) requires. Each involution built spends one node of the budget."""
+def _good_involutions(q: Quandle):
+    """The good involutions of q as image tuples, made one at a time in lex
+    order. Each involution built pairs x only with a y whose column is the
+    inverse of x's column, as x*rho(y) = bar(x, y) requires, and spends one node
+    of an "involution" Budget; it is kept if it commutes with each column."""
+    budget = Budget("involution")
     if not q.m:  # the empty map is the one involution of the empty set
         budget.spend()
         yield ()
         return
-    _, col_id, inv_id = q._columns
+    columns, col_id, inv_id = q._columns
+    cols = [col for col in columns if col != tuple(q.elements)]  # none for T m: no check
     partners = [[y for y in range(x, q.m) if col_id[y] == inv_id[x]] for x in range(q.m)]
     m, image, stack, x, ys = q.m, [-1] * q.m, [], 0, iter(partners[0])  # x: first unpaired
     while True:  # stack: each point paired before x, with its partners left to try
@@ -140,23 +143,14 @@ def _involutions(q: Quandle, budget: Budget):
                     x, ys = nxt, iter(partners[nxt])
                     break
                 budget.spend()
-                yield tuple(image)
+                if not cols or all([image[w] for w in c] == [c[w] for w in image] for c in cols):
+                    yield tuple(image)
                 image[x] = image[y] = -1
         else:  # every partner of x tried: back to the point paired before it
             if not stack:
                 return
             x, ys = stack.pop()
             image[image[x]] = image[x] = -1
-
-
-def _good_involutions(q: Quandle):
-    """The good involutions of q as image tuples, in lex order; an "involution"
-    Budget counts the involutions built. They pair only mutually inverse columns,
-    so x*rho(y) = bar(x, y) holds; kept are those that commute with each column."""
-    cols = [col for col in q._columns[0] if col != tuple(q.elements)]
-    rhos = _involutions(q, Budget("involution"))
-    return rhos if not cols else (rho for rho in rhos if all(
-        tuple(map(rho.__getitem__, c)) == tuple(map(c.__getitem__, rho)) for c in cols))
 
 
 def good_involutions(q: Quandle):

@@ -20,8 +20,8 @@ class Budget:
 
     ``what`` names the search in the error message ("coloring", "hom", ...).
     ``nodes`` charges a build in full before any of it is made: a charge over
-    the cap raises at once. The cap is QUANDLE_SEARCH_CAP (a non-negative
-    integer), else DEFAULT_SEARCH_CAP.
+    the cap raises at once. A search charges each step by spend(). The cap is
+    QUANDLE_SEARCH_CAP (a non-negative integer), else DEFAULT_SEARCH_CAP.
     """
 
     def __init__(self, what: str, nodes: int = 0):
@@ -37,9 +37,8 @@ class Budget:
         if nodes > cap:
             raise SearchCapError(self)
 
-    def spend(self, k: int = 1) -> None:
-        """Charge k nodes; past the cap, stop on node cap + 1 as single charges do."""
-        self.nodes += k
+    def spend(self) -> None:
+        """Charge one node, a search's step; node cap + 1 raises."""
+        self.nodes += 1
         if self.nodes > self.cap:
-            self.nodes = self.cap + 1
             raise SearchCapError(self)

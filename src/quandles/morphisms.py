@@ -32,8 +32,8 @@ class QuandleMap:
         s, t, f = self.source.table, self.target.table, self.image
         if len(f) != self.source.m or not all(0 <= v < self.target.m for v in f):
             return False
-        return all(f[s[x][y]] == t[f[x]][f[y]]
-                   for x in range(self.source.m) for y in range(self.source.m))
+        return all(f[s[x][g]] == t[f[x]][f[g]]  # generators g are enough, as in _search
+                   for g in _generators(s) for x in range(self.source.m))
 
 
 class FiniteGroupTable:

@@ -9,7 +9,7 @@ advance at the level where its third variable becomes known; given no order,
 the plan picks each branch variable. Levels try values in increasing order, one
 Budget node each; a last level with one variable left reads the values that
 pass from a bitmask ANDed in over the levels above (forward checking, Haralick
-& Elliott 1980) and charges those between two answers at once.
+& Elliott 1980).
 """
 
 from __future__ import annotations
@@ -124,14 +124,12 @@ def solve(n_vars: int, n: int, levels, budget: Budget, distinct: bool = False, f
     while True:
         v, ops, assigned, masks = levels[lvl]
         if ops is None:  # the masked last level; its values are all tried here
-            allowed, owed = acc[lvl], 0
+            allowed = acc[lvl]
             for a in values:
-                owed += 1
+                spend()
                 if allowed >> a & 1:
-                    spend(owed)  # the values up to this answer
-                    owed, val[v] = 0, a
+                    val[v] = a
                     yield tuple(val)
-            spend(owed)
         for a in values:
             if distinct and acc[lvl] >> a & 1:
                 continue

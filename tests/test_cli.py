@@ -522,6 +522,17 @@ def test_groups_of_the_empty_quandle(capsys, tmp_path):
     assert run(capsys, "inn", str(path)) == (0, "|Inn| = 1, cyclic: yes\n", "")
 
 
+@pytest.mark.parametrize("args, out", [
+    ((), "0"), (("--rho", "()"), "0"), (("--coeff", "Q"), "Q^0"), (("--coeff", "Z3"), "F3^0"),
+    (("--coeff", "Z2", "--rho", "()", "--degree", "3"), "F2^0"),
+])
+def test_cohomology_of_the_empty_quandle(capsys, tmp_path, args, out):
+    # no n-tuple, so every cochain group is 0; an answer, not a traceback
+    path = tmp_path / "empty.json"
+    path.write_text('{"order": 0, "table": []}')
+    assert run(capsys, "cohomology", str(path), *args) == (0, out + "\n", "")
+
+
 @pytest.mark.parametrize("source", ORACLE_QUANDLES)
 def test_listings_print_what_the_public_functions_return(capsys, source):
     # the CLI formats the image tuples itself; its lines must be the

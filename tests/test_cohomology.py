@@ -21,6 +21,7 @@ from quandles import (
     AbelianGroupSummary,
     Cocycle2,
     Coeff,
+    Quandle,
     SymmetricQuandle,
     boundary_matrix,
     cochain_slice,
@@ -584,6 +585,20 @@ def test_trivial_quandles_are_free_on_their_n_tuples(m):
         assert got == [AbelianGroupSummary(Coeff.parse(coeff), c) for coeff in COEFFS], n
         if c * c * (m - 1) <= 2 * 10**5:  # the oracle's dense delta_out stays small
             assert got == whole_slice_cohomology(q, n, COEFFS), n
+
+
+def test_the_empty_quandle_has_zero_cohomology():
+    # no element, so no n-tuple: every cochain group is 0, over every ring and
+    # with or without rho, and the orbit-weighted block charge has no m^2 to divide by
+    q = Quandle(())
+    for n in (2, 3, 4):
+        for rho in (None, ()):
+            got = [cohomology_Q(q, n, coeff) if rho is None
+                   else symmetric_cohomology(q, rho, n, coeff) for coeff in COEFFS]
+            assert list(map(str, got)) == ["0", "Q^0", "F2^0", "F3^0"], (n, rho)
+    sl = cochain_slice(q, 2)
+    assert (sl.basis_below, sl.basis, sl.basis_above, sl.delta_in, sl.delta_out) == ((),) * 5
+    assert two_cocycle_basis(q) == []
 
 
 @pytest.mark.parametrize("m", range(2, 7))

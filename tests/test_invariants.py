@@ -4,7 +4,12 @@ from itertools import permutations
 
 import pytest
 
-from helpers import cell_law_defect, remaining_list_good_involutions, symmetric_quandle_error
+from helpers import (
+    cell_law_defect,
+    recorded_budgets,
+    remaining_list_good_involutions,
+    symmetric_quandle_error,
+)
 from quandles import (
     Quandle,
     SymmetricQuandle,
@@ -169,9 +174,9 @@ def test_symmetric_quandle_names_the_failing_law():
 def test_good_involutions_check_each_involution_once(monkeypatch):
     # P(3, (1 2)) builds 4 involutions and 2 of them commute with column 0; the
     # law check runs once on each of those 2 as a SymmetricQuandle, and never on
-    # the 2 that the column filter rejects
+    # the 2 that the walk's column check rejects
     q = p_quandle(3, parse_cycles("(1 2)", 3))
-    assert len(list(invariants._involutions(q, Budget("involution")))) == 4
+    made = recorded_budgets(monkeypatch, "quandles.invariants.Budget")
     calls = []
     check = invariants._good_involution_defect
 
@@ -183,6 +188,7 @@ def test_good_involutions_check_each_involution_once(monkeypatch):
     found = good_involutions(q)
     assert [s.rho for s in found] == [(0, 1, 2, 3), (0, 2, 1, 3)]
     assert calls == [s.rho for s in found]
+    assert [(b.what, b.nodes) for b in made] == [("involution", 4)]
 
 
 def test_involutions_are_built_on_an_explicit_stack():

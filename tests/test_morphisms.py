@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -302,6 +303,23 @@ def test_quandle_map_verify_rejects_wrong_length_and_range():
     assert not QuandleMap(P3, P3, (0, 1)).verify()
     assert not QuandleMap(P3, P3, (0, 1, 2, 3)).verify()
     assert not QuandleMap(P3, P3, (0, 1, 3)).verify()
+
+
+def test_quandle_map_verify_matches_the_full_cell_check():
+    # verify reads only the generators' columns; on every map between 14 small
+    # quandles it must agree with f(x*y) = f(x)*f(y) checked on all m^2 cells
+    small = ([trivial(m) for m in (1, 2, 3)] + [dihedral(m) for m in range(1, 6)]
+             + [p_quandle(n, sigma) for n in (1, 2, 3)
+                for sigma in conjugacy_class_representatives(n)])
+    seen = Counter()
+    for source, target in product(small, repeat=2):
+        s, t = source.table, target.table
+        for f in product(range(target.m), repeat=source.m):
+            homomorphic = all(f[s[x][y]] == t[f[x]][f[y]]
+                              for x in range(source.m) for y in range(source.m))
+            assert QuandleMap(source, target, f).verify() == homomorphic, (s, t, f)
+            seen[homomorphic] += 1
+    assert len(small) == 14 and sum(seen.values()) == 18942 and seen[True] < seen[False]
 
 
 def test_endomorphisms_alias():
