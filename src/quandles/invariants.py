@@ -96,15 +96,15 @@ class SymmetricQuandle:
 def _good_involution_defect(q: Quandle, rho):
     """The first (law, x, y) in (x, y) order where a law fails, else None.
 
-    Both laws are checked per column: x*rho(y) = bar(x, y) for all x says that
-    column rho(y) is the inverse of column y, and rho(x*y) = rho(x)*y for all x
-    says that rho commutes with column y, so each distinct column is checked
-    once. Only a failure scans the cells, to find the witness.
+    x*rho(y) = bar(x, y) for all x says that column rho(y) is the inverse of
+    column y; rho(x*y) = rho(x)*y for all x and y says that rho commutes with
+    Inn, so with the generators' distinct columns, which generate it. Only a
+    failure scans the cells, to find the witness.
     """
     columns, col_id, inv_id = q._columns
-    image = rho.__getitem__
+    gen_cols = map(columns.__getitem__, q._gen_ids)
     if list(map(col_id.__getitem__, rho)) == inv_id and all(
-            tuple(map(image, col)) == tuple(map(col.__getitem__, rho)) for col in columns):
+            tuple(map(rho.__getitem__, c)) == tuple(map(c.__getitem__, rho)) for c in gen_cols):
         return None
     t, bar = q.table, q.bar_table
     for x in q.elements:
@@ -121,14 +121,14 @@ def _good_involutions(q: Quandle):
     """The good involutions of q as image tuples, made one at a time in lex
     order. Each involution built pairs x only with a y whose column is the
     inverse of x's column, as x*rho(y) = bar(x, y) requires, and spends one node
-    of an "involution" Budget; it is kept if it commutes with each column."""
+    of an "involution" Budget; it is kept if it commutes with each generator's column."""
     budget = Budget("involution")
     if not q.m:  # the empty map is the one involution of the empty set
         budget.spend()
         yield ()
         return
     columns, col_id, inv_id = q._columns
-    cols = [col for col in columns if col != tuple(q.elements)]  # none for T m: no check
+    cols = [columns[i] for i in q._gen_ids if columns[i] != tuple(q.elements)]  # none for T m
     partners = [[y for y in range(x, q.m) if col_id[y] == inv_id[x]] for x in range(q.m)]
     m, image, stack, x, ys = q.m, [-1] * q.m, [], 0, iter(partners[0])  # x: first unpaired
     while True:  # stack: each point paired before x, with its partners left to try

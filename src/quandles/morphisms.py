@@ -16,7 +16,7 @@ from itertools import chain, product
 from operator import itemgetter
 
 from .limits import Budget
-from .quandle import Quandle
+from .quandle import Quandle, _generators
 from .solve import plan, solve
 
 
@@ -30,10 +30,9 @@ class QuandleMap:
 
     def verify(self) -> bool:
         s, t, f = self.source.table, self.target.table, self.image
-        if len(f) != self.source.m or not all(0 <= v < self.target.m for v in f):
-            return False
-        return all(f[s[x][g]] == t[f[x]][f[g]]  # generators g are enough, as in _search
-                   for g in _generators(s) for x in range(self.source.m))
+        return len(f) == self.source.m and all(0 <= v < self.target.m for v in f) and all(
+            f[s[x][g]] == t[f[x]][f[g]]  # generators g are enough, as in _search
+            for g in self.source._gens for x in range(self.source.m))
 
 
 class FiniteGroupTable:
@@ -57,7 +56,7 @@ class FiniteGroupTable:
                 raise ValueError(f"element {x} has no inverse")
         # Light's test: the b with (ab)c = a(bc) for all a, c are closed under the
         # product, so b runs over generators (so n > 1): itemgetter(*t[b])(t[a]) is a(bc)
-        gets = [(b, itemgetter(*t[b])) for b in _generators(t, [self.identity])]
+        gets = [(b, itemgetter(*t[b])) for b in _generators(t, range(n), [self.identity])]
         if any(t[row[b]] != get(row) for b, get in gets for row in t):
             a, b, c = next((a, b, c) for a, b, c in product(range(n), repeat=3)
                            if t[t[a][b]][c] != t[a][t[b][c]])
@@ -80,24 +79,6 @@ class FiniteGroupTable:
         return self.table == tuple(zip(*self.table))
 
 
-def _generators(table, start=()) -> list:
-    """Generators of the closure of start under right products x -> table[x][g],
-    taken greedily: each is the least index outside the closure of start and
-    the earlier ones. Each reached index is multiplied by each generator once.
-    Over a finite quandle the closure of a set is the subquandle it generates."""
-    gens, reached, inside = [], list(start), [i in start for i in range(len(table))]
-    for g in range(len(table)):
-        if not inside[g]:
-            gens.append(g)
-            pending = [g, *(table[x][g] for x in reached)]
-            for y in pending:  # grows while walked
-                if not inside[y]:
-                    inside[y] = True
-                    reached.append(y)
-                    pending += (table[y][h] for h in gens)
-    return gens
-
-
 def _search(x: Quandle, y: Quandle, bijective: bool = False):
     """An iterator over the image tuples of the homs X -> Y in lex order,
     branching on f(0), f(1), ...; the search advances only as the iterator is
@@ -107,7 +88,7 @@ def _search(x: Quandle, y: Quandle, bijective: bool = False):
     so the node counts are those of one constraint per pair a != b."""
     sx, ty, by = x.table, y.table, y.bar_table
     constraints = [(a, g, sx[a][g], ty, by)
-                   for g in _generators(sx) for a in range(x.m) if a != g]
+                   for g in x._gens for a in range(x.m) if a != g]
     levels = plan(x.m, y.m, constraints, range(x.m), bijective)
     return solve(x.m, y.m, levels, Budget("hom"), bijective)
 

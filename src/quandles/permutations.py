@@ -26,8 +26,13 @@ class Permutation:
         n = len(image)
         if any(type(v) is not int for v in image) or sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {image}")
-        self.n = n
-        self.image = image
+        self.n, self.image = n, image
+
+    @classmethod
+    def _of(cls, image: tuple) -> "Permutation":  # an image tuple known to be one: unchecked
+        p = object.__new__(cls)
+        p.n, p.image = len(image), image
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -128,11 +133,11 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     """The permutation x -> a(b(x))."""
     if a.n != b.n:
         raise ValueError(f"degree mismatch: {a.n} != {b.n}")
-    return Permutation(a.image[v - 1] for v in b.image)
+    return Permutation._of(tuple(a.image[v - 1] for v in b.image))
 
 
 def inverse(a: Permutation) -> Permutation:
-    return Permutation(i + 1 for i in sorted(range(a.n), key=a.image.__getitem__))
+    return Permutation._of(tuple(i + 1 for i in sorted(range(a.n), key=a.image.__getitem__)))
 
 
 def order(a: Permutation) -> int:
@@ -171,14 +176,14 @@ def conjugator(a: Permutation, b: Permutation) -> Permutation | None:
 
 def all_permutations(n: int):
     """All of S_n in lexicographic image order."""
-    return [Permutation(img) for img in itertools.permutations(range(1, n + 1))]
+    return [Permutation._of(img) for img in itertools.permutations(range(1, n + 1))]
 
 
 def centralizer(a: Permutation):
     """All g in S_n commuting with a, in lexicographic image order."""
     n, image = a.n, a.image
     Budget("centralizer", n * math.factorial(n))  # each point of each g, charged up front
-    return [Permutation(g) for g in itertools.permutations(range(1, n + 1))
+    return [Permutation._of(g) for g in itertools.permutations(range(1, n + 1))
             if all(g[v - 1] == image[w - 1] for v, w in zip(image, g))]  # g(a(x)) = a(g(x))
 
 

@@ -2,10 +2,11 @@
 
 ``table[x][y]`` is x*y; column y is the bijection S_y: x -> x*y. Construction
 checks idempotence, bijective columns and right self-distributivity
-(x*y)*z = (x*z)*(y*z), that is S_z S_y = S_(y*z) S_z: whole columns composed
-once per distinct S_z and new pair of column ids, O(k m^2) for k distinct
-columns. Only a failure scans the cells, for the first witness. The inverse
-column operation is written bar(x, y), the unique z with z*y = x.
+(x*y)*z = (x*z)*(y*z), that is S_z S_y = S_(y*z) S_z. The z that satisfy it
+are closed under *, as S_(a*b) = S_b S_a S_b^-1, so whole columns are composed
+once per new pair of column ids for the g distinct S_z of a greedy generating
+set, which is kept: O(g k m) for k distinct columns. The inverse column
+operation is written bar(x, y), the unique z with z*y = x.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class Quandle:
 
     def __init__(self, table):
         table = tuple(tuple(row) for row in table)
-        _validate(table)
         self.table, self.m = table, len(table)
+        self._ids, self._col_id, self._gens, self._gen_ids = _validate(table)
 
     def op(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -54,10 +55,7 @@ class Quandle:
         """(the distinct columns as image tuples, the id of each element's column
         in that list, the id of each element's inverse column or -1 when that
         inverse is not a column)."""
-        ids = {}
-        col_id = [ids.setdefault(col, len(ids)) for col in zip(*self.table)]
-        inv_id = [ids.get(col, -1) for col in zip(*self.bar_table)]
-        return list(ids), col_id, inv_id
+        return list(self._ids), self._col_id, [self._ids.get(c, -1) for c in zip(*self.bar_table)]
 
     @cached_property
     def _orbits(self) -> tuple:
@@ -122,7 +120,7 @@ class Quandle:
         return q
 
 
-def _validate(table) -> None:
+def _validate(table) -> tuple:  # {column: id}, each element's column id, generators, their ids
     m = len(table)
     for x, row in enumerate(table):
         if len(row) != m:
@@ -138,18 +136,39 @@ def _validate(table) -> None:
         if len(set(col)) != m:
             raise AxiomError("column-bijection", y, f"column {y} is not a bijection: {list(col)}")
         col_id.append(ids.setdefault(col, len(ids)))
+    distinct, get, gens = list(ids), [itemgetter(*col) for col in ids], _generators(table, col_id)
     # c = S_z, y*z = c[y], and itemgetter(*f)(g) is g after f (an int at m = 1). The
-    # least x where two composites differ is the witness's x; its (y, z) are scanned
-    distinct, get = list(ids), [itemgetter(*col) for col in ids]
-    x = min((next(w for w, u, v in zip(range(m), f, g) if u != v) for i, c in enumerate(distinct)
-             for j, k in set(zip(col_id, map(col_id.__getitem__, c)))
-             if (f := get[j](c)) != (g := get[i](distinct[k]))), default=m)
-    if x < m:
-        y, z = next((y, z) for y, z in product(range(m), repeat=2)
-                    if table[table[x][y]][z] != table[table[x][z]][table[y][z]])
-        raise AxiomError("self-distributivity", (x, y, z), f"({x}*{y})*{z} = "
-                         f"{table[table[x][y]][z]} but ({x}*{z})*({y}*{z}) = "
-                         f"{table[table[x][z]][table[y][z]]}")
+    # generators' S_z decide; a failure scans every S_z for the least x, then (y, z)
+    for zs in (gen_ids := {col_id[g] for g in gens}, range(len(distinct))):
+        x = min((next(w for w, u, v in zip(range(m), f, g) if u != v)
+                 for i, c in enumerate(distinct) if i in zs
+                 for j, k in set(zip(col_id, map(col_id.__getitem__, c)))
+                 if (f := get[j](c)) != (g := get[i](distinct[k]))), default=m)
+        if x == m:
+            return ids, col_id, gens, gen_ids
+    y, z = next((y, z) for y, z in product(range(m), repeat=2)
+                if table[table[x][y]][z] != table[table[x][z]][table[y][z]])
+    raise AxiomError("self-distributivity", (x, y, z), f"({x}*{y})*{z} = "
+                     f"{table[table[x][y]][z]} but ({x}*{z})*({y}*{z}) = "
+                     f"{table[table[x][z]][table[y][z]]}")
+
+
+def _generators(table, col_id, start=()) -> list:
+    """Greedy generators of the closure of start under x -> table[x][g]: each is the
+    least index outside the closure of start and the earlier ones. Each reached index
+    is multiplied by one generator per column id: col_id[g] is the id of g's column."""
+    gens, walk, reached, inside = [], {}, list(start), [i in start for i in range(len(table))]
+    for g in range(len(table)):
+        if not inside[g]:
+            gens.append(g)
+            pending = [g] if col_id[g] in walk else [g, *[table[x][g] for x in reached]]
+            walk.setdefault(col_id[g], g)  # a column id's first generator
+            for y in pending:  # grows while walked
+                if not inside[y]:
+                    inside[y] = True
+                    reached.append(y)
+                    pending += map(table[y].__getitem__, walk.values())
+    return gens
 
 
 def trivial(m: int) -> Quandle:

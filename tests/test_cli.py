@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import quandles
-from helpers import FIXTURES, ORACLE_QUANDLES, cycle_text
+from helpers import FIXTURES, ORACLE_QUANDLES, all_ones_graph, cycle_text
 from quandles import (
     SearchCapError,
     automorphism_group,
@@ -20,6 +20,7 @@ from quandles import (
     good_involutions,
     homs,
     morphisms,
+    synthesize_link,
 )
 from quandles.cli import load_quandle, main
 from quandles.permutations import _format_image, _parse_image
@@ -609,3 +610,27 @@ def test_the_first_answer_never_pays_for_the_rest(capsys, monkeypatch):
         0, f"isomorphic via {list(range(15))}\n", "")
     monkeypatch.setenv("QUANDLE_SEARCH_CAP", "200")
     assert run(capsys, "aut", "R 15") == (1, "", "error: hom search exceeded 200 nodes\n")
+
+
+def test_quiver_walks_the_generators_once_per_quandle(tmp_path, capsys, monkeypatch):
+    # the generators are kept on the Quandle that validation made them for, so
+    # checking the 81 endomorphisms of P(4, (1 2)(3 4)) reads them, where a walk
+    # of the table per map cost more than the cells it saved
+    path = tmp_path / "k4.lnk"
+    path.write_text(synthesize_link(all_ones_graph(4)).to_text())
+    walks, made, walk, init = [], [], morphisms._generators, quandles.Quandle.__init__
+
+    def counted_walk(*args):
+        walks.append(args[0])
+        return walk(*args)
+
+    def counted_init(self, table):
+        made.append(table)
+        init(self, table)
+
+    monkeypatch.setattr(quandles.quandle, "_generators", counted_walk, raising=False)
+    monkeypatch.setattr(morphisms, "_generators", counted_walk)
+    monkeypatch.setattr(quandles.Quandle, "__init__", counted_init)
+    code, out, _ = run(capsys, "quiver", str(path), "P 4 (1 2)(3 4)", "--endos", "all")
+    assert (code, out) == (0, "quiver with 353 vertices and 28593 edges\n")
+    assert len(walks) == len(made) == 1

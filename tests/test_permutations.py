@@ -243,3 +243,26 @@ def test_representatives_cover_all_cycle_types():
 def test_constructor_rejects_non_integer_points(image):
     with pytest.raises(ValueError):
         Permutation(image)
+
+
+def test_operations_build_their_results_without_the_constructor_check(monkeypatch):
+    # compose, inverse, all_permutations and centralizer make image tuples that
+    # are permutations already, so none of them runs Permutation's check again;
+    # the public constructor still checks every image it is given
+    a, b = P("(1 2 3)", 4), P("(3 4)", 4)
+    made = (compose(a, b), inverse(a), all_permutations(3), centralizer(b))
+    checked = (Permutation((2, 3, 4, 1)), Permutation((3, 1, 2, 4)),
+               [Permutation(p) for p in iter_perms((1, 2, 3))],
+               [Permutation(g) for g in iter_perms((1, 2, 3, 4)) if g[2:] in ((3, 4), (4, 3))])
+    assert made == checked
+    assert [p.n for p in (made[0], made[1], *made[2], *made[3])] == [4, 4, *[3] * 6, *[4] * 4]
+
+    def refuse(self, image):
+        raise AssertionError(f"{image} checked again")
+
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    assert (compose(a, b), inverse(a), all_permutations(3), centralizer(b)) == made
+    monkeypatch.undo()
+    for image in ((1, 1), (True, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"not a permutation of 1..2: {image}")):
+            Permutation(image)

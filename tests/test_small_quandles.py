@@ -3,22 +3,27 @@ on quandles that are not trivial, dihedral or one-column."""
 
 import json
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from helpers import (
     brute_force_automorphisms,
+    cell_law_defect,
     cell_scan_validate,
+    conjugation_quandle,
     cycle_text,
     labelled_quandles,
     quandle_classes,
     relabelled_table,
 )
-from quandles import AxiomError, Quandle, is_isomorphic
+from quandles import AxiomError, Quandle, dihedral, good_involutions, is_isomorphic, invariants
 from quandles.cli import main
 
 ORDERS = range(1, 6)
+# the conjugation quandle of the six transpositions of S4
+S4_TRANSPOSITIONS = conjugation_quandle(
+    [p for p in permutations(range(4)) if sum(x != i for i, x in enumerate(p)) == 2])
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +99,47 @@ def test_column_check_raises_the_cell_scan_error_on_every_one_cell_mutation(clas
     axioms = {f[0] for f in found if f}
     assert axioms == {"range", "idempotence", "column-bijection", "self-distributivity"}
     assert len(seen) > 4000 and None in found
+
+
+def test_axiom_check_raises_the_cell_scan_error_on_every_two_cell_column_swap():
+    # R7, R9 and R11 are generated by 0 and 1, the S4 transpositions by three of
+    # the six, so most swapped columns are not a generator's: composing the
+    # generators' columns finds the failure, and the scan of every column then
+    # gives the witness that the cell scan finds
+    cases = [dihedral(7), dihedral(9), dihedral(11), S4_TRANSPOSITIONS]
+    assert [q._gens for q in cases] == [[0, 1], [0, 1], [0, 1], [0, 1, 3]]
+    for q in cases:
+        t = q.table
+        swapped = [_with(t, [(x, y, t[w][y]), (w, y, t[x][y])])
+                   for y in q.elements for x, w in combinations(q.elements, 2) if y not in (x, w)]
+        found = [_axiom_error(Quandle, s) for s in swapped]
+        assert found == [_axiom_error(cell_scan_validate, s) for s in swapped], q.table
+        assert {f[0] for f in found} == {"self-distributivity"}
+        assert len({f[1] for f in found}) > q.m  # many distinct witnesses, not a few
+
+
+def _involutions(m: int) -> list:
+    """Every involution of 0..m-1 as an image tuple, in lex order."""
+    def build(image, rest):  # rest: the unpaired points; the least is paired with each
+        if not rest:
+            yield tuple(image)
+        for y in rest:
+            image[rest[0]], image[y] = y, rest[0]
+            yield from build(image, [z for z in rest[1:] if z != y])
+    return sorted(build([0] * m, list(range(m))))
+
+
+def test_good_involution_laws_on_the_generators_match_the_cell_scan(classes):
+    # rho commuting with the generators' columns commutes with Inn, which they
+    # generate; the defect check and the walk's keep-check both rest on that.
+    # Every permutation of the order <= 5 classes and their relabellings, and
+    # every involution of R7-R11 and of the S4 transpositions, against the cells
+    zoo = [q for m in ORDERS for pair in classes[m] for q in pair]
+    wider = [dihedral(m) for m in range(7, 12)] + [S4_TRANSPOSITIONS]
+    for q in zoo + wider:
+        perms = list(permutations(q.elements)) if q in zoo else _involutions(q.m)
+        assert [invariants._good_involution_defect(q, rho) for rho in perms] == [
+            cell_law_defect(q, rho) for rho in perms], q.table
+        good = [rho for rho in _involutions(q.m) if cell_law_defect(q, rho) is None]
+        assert list(invariants._good_involutions(q)) == good, q.table
+        assert [s.rho for s in good_involutions(q)] == good, q.table

@@ -55,6 +55,7 @@ from quandles import (
 )
 from quandles import morphisms
 from quandles.limits import Budget
+from quandles.quandle import _generators
 from quandles.solve import _closure, plan, solve
 
 ORACLE = settings(max_examples=40, deadline=None, derandomize=True)
@@ -218,18 +219,37 @@ def test_hom_search_on_generators_matches_all_pairs(x, monkeypatch):
 def test_generators_are_taken_greedily():
     # each generator is the least element outside the subquandle that the
     # earlier ones generate, and together they generate the quandle
+    # (kept on the quandle; a walk that multiplies by every generator, one column
+    # id per element, takes the same ones)
     odd = [dihedral(m) for m in range(3, 16, 2)]
     for q in ORACLE_QUANDLES + odd:
-        gens = morphisms._generators(q.table)
+        gens = q._gens
+        assert gens == _generators(q.table, range(q.m))
         for i, g in enumerate(gens):
             assert g == min(set(q.elements) - _subquandle(q, gens[:i]))
         assert _subquandle(q, gens) == set(q.elements)
-    assert all(morphisms._generators(q.table) == [0, 1] for q in odd)
+    assert all(q._gens == [0, 1] for q in odd)
     for m in range(1, 6):
-        assert morphisms._generators(trivial(m).table) == list(range(m))
+        assert trivial(m)._gens == list(range(m))
     for n in range(1, 5):
         for s in all_permutations(n):  # 0 and one point per cycle of σ, fixed points included
-            assert len(morphisms._generators(p_quandle(n, s).table)) == 1 + len(orbits(s))
+            assert len(p_quandle(n, s)._gens) == 1 + len(orbits(s))
+
+
+def test_generator_walk_multiplies_by_one_generator_per_distinct_column():
+    # T m and P n (σ) have m - 1 or more generators but at most two distinct
+    # columns, so the walk reads each row once per distinct column: 300 and
+    # 600 reads here, where a walk by every generator reads about 90,000
+    for q, reads_at_most in ((trivial(300), 300), (p_quandle(299, parse_cycles("(1 2)", 299)), 600)):
+        reads = []
+
+        class Rows(tuple):
+            def __getitem__(self, x):
+                reads.append(x)
+                return tuple.__getitem__(self, x)
+
+        assert _generators(Rows(q.table), q._col_id) == q._gens
+        assert len(q._gens) >= q.m - 1 and len(reads) <= reads_at_most
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lnk")))
