@@ -31,7 +31,10 @@ keeps x_1 and each inert entry in its Inn-orbit. So a block is spanned by the
 tuples with one word of the orbits of x_1 and of the inert entries (of pairs
 {O, rho(O)}, as a relation swaps x_i for rho(x_i)). H^n is the sum of the
 blocks' groups, for every n >= 2; the cochain budget alone bounds the work.
-In a trivial quandle every entry is inert, so every coboundary is zero.
+In a trivial quandle every entry is inert, so every coboundary is zero. An
+automorphism f keeps inert entries inert and Inn-orbits whole, and commutes with
+the coboundary, so the blocks of words K and f(K) have one group: with no rho,
+one block per class is built, then counted and charged once per member.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from operator import itemgetter
 from . import linalg
 from .invariants import SymmetricQuandle
 from .limits import Budget
+from .morphisms import QuandleMap, _search
 from .quandle import Quandle
 
 
@@ -190,14 +194,14 @@ class CochainComplexSlice:
 
 
 def _blocks(q: Quandle, n: int, rho, split: bool):
-    """The slices of the degree-n blocks, n >= 2, that hold an n-tuple (module
-    docstring), or the whole slice if not split or q is one block. Split with no
-    rho, a trivial quandle is one slice of zero matrices. Any other block has a
-    face or a relation, for some y not inert: if x_n is inert, appending y keeps
-    the key; else deleting x_n does; with rho, each n-tuple makes its own
-    relations. Budgets are charged before what they count is built: n^2 first;
-    then, with nothing inert, the cells of the shapes of the blocks' matrices,
-    as a block of first entries P holds |P|(m-1)^(k-1) k-tuples (and n
+    """(class size, slice) per class of the degree-n blocks, n >= 2, that hold
+    an n-tuple (module docstring); (1, whole slice) if not split or q is one block.
+    Split with no rho, a trivial quandle is one slice of zero matrices. Any other
+    block has a face or a relation, for some y not inert: if x_n is inert,
+    appending y keeps the key; else deleting x_n does; with rho, each n-tuple
+    makes its own relations. Budgets are charged before what they count is
+    built: n^2 first; then, with nothing inert, the cells of the blocks' matrix
+    shapes, as a block of first entries P holds |P|(m-1)^(k-1) k-tuples (and n
     relation rows per n-tuple with rho); else the tuples to list, then the cells."""
     _charge_degree(n)
     columns = _columns(q)
@@ -214,22 +218,49 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
         whole = sizes[1] * (sizes[0] + sizes[2] + rows * sizes[1])
         Budget("cochain", whole * sum(p * p for p in Counter(orbit).values()) // (q.m**2 or 1))
     if split and rho is None and all(columns[1]):  # a trivial quandle: every face cancels
-        yield cochain_slice(q, n, rho, (columns, ((), tuple_basis(q, n), ())))
+        yield 1, cochain_slice(q, n, rho, (columns, ((), tuple_basis(q, n), ())))
         return
-    groups = {}
+    groups, size = {}, {}
     for slot, k in ((1, n), (0, n - 1), (2, n + 1)):
         level = [((x,), (orbit[x],)) for x in q.elements]  # (tuple, key) pairs
-        for _ in range(k - 1):  # only the last step stays lazy, so a tuple
-            # that no block keeps goes as it is made
+        for _ in range(k - 1):  # a lazy last step: a tuple no block keeps goes as made
             level = ((t + (x,), key + letters[x]) for t, key in list(level)
                      for x in q.elements if x != t[-1])
         for t, key in level:  # the n-tuples, listed first, name the blocks kept
             if slot == 1 or key in groups or not split:
                 groups.setdefault(key, ([], [], []))[slot].append(t)
-    Budget("cochain", sum(len(b) * (len(lo) + len(hi) + rows * len(b))
-                          for lo, b, hi in groups.values()))
-    for bases in list(groups.values()) or [((), (), ())]:  # no n-tuple: the whole slice
-        yield cochain_slice(q, n, rho, (columns, bases))  # public, so a trace sees each
+        if slot == 1 and split and rho is None:  # keep the least key of each class
+            size = Counter(_classes(q, groups, orbit, columns[1]).values())
+            groups = {key: bases for key, bases in groups.items() if key in size}
+    Budget("cochain", sum(size.get(key, 1) * len(b) * (len(lo) + len(hi) + rows * len(b))
+                          for key, (lo, b, hi) in groups.items()))
+    for key, bases in list(groups.items()) or [(None, ((), (), ()))]:  # none: the whole slice
+        yield size.get(key, 1), cochain_slice(q, n, rho, (columns, bases))  # public, so traced
+
+
+def _classes(q: Quandle, keys, least, inert) -> dict:
+    """Each block key's class: the least key it reaches by the automorphisms found,
+    a checked f with f(least A) in B per two Inn-orbits A, B of one kind not joined."""
+    points = {r: [x for x in q.elements if least[x] == r] for r in dict.fromkeys(least)}
+    joined, moves, rep = {r: {r} for r in points}, [], {}  # joined: each orbit's class
+    for a in points:  # a kind: one size and inertness. B is the next orbit of a's kind,
+        # then each from the last: P(n, sigma) has a swap, then a shift joining the rest
+        kind = [b for b in points
+                if b > a and (len(points[b]), inert[b]) == (len(points[a]), inert[a])]
+        for b in (b for b in kind[:1] + kind[:0:-1] if b not in joined[a]):
+            for f in itertools.islice(_search(q, q, True, a, points[b]), 1):
+                if len(set(f)) != q.m or not QuandleMap(q, q, f).verify():
+                    raise AssertionError(f"automorphism search gave {f}, not an automorphism")
+                moves.append({r: least[f[r]] for r in points})
+                for r, s in moves[-1].items():  # joins the classes of r and f(r)
+                    joined.update(dict.fromkeys(both := joined[r] | joined[s], both))
+    for key in sorted(keys):  # each class is walked from its least key
+        stack = [] if key in rep else [rep.setdefault(key, key)]
+        for k in stack:  # grows while walked
+            for image in {i for move in moves if (i := tuple(map(move.__getitem__, k))) not in rep}:
+                rep[image] = key
+                stack.append(image)
+    return rep
 
 
 def cochain_slice(q: Quandle, n: int, rho=None, _block=None) -> CochainComplexSlice:
@@ -239,7 +270,7 @@ def cochain_slice(q: Quandle, n: int, rho=None, _block=None) -> CochainComplexSl
     are stored. With _block, the columns and the bases (below, basis, above)
     of a block that `_blocks` has charged, it builds that block's slice."""
     if _block is None:
-        return next(_blocks(q, n, rho, split=False))
+        return next(_blocks(q, n, rho, split=False))[1]
     columns, (below, basis, above) = _block
     return CochainComplexSlice(
         q, n, tuple(below), tuple(basis), tuple(above),
@@ -267,12 +298,12 @@ def _cohomology(sl: CochainComplexSlice, coeff: Coeff) -> AbelianGroupSummary:
 
 
 def _block_cohomology(q: Quandle, n: int, rho, coeff) -> AbelianGroupSummary:
-    """H^n as the direct sum over the blocks: the free ranks add, and all the
-    blocks' torsion is merged into invariant factors."""
+    """H^n as the direct sum over the blocks, a class once per member: the free
+    ranks add, and all the blocks' torsion is merged into invariant factors."""
     coeff = coeff if isinstance(coeff, Coeff) else Coeff.parse(coeff)
-    parts = [_cohomology(sl, coeff) for sl in _blocks(q, n, rho, split=True)]
-    torsion = linalg._invariant_factors([d for part in parts for d in part.torsion])
-    return AbelianGroupSummary(coeff, sum(part.rank for part in parts),
+    parts = [(k, _cohomology(sl, coeff)) for k, sl in _blocks(q, n, rho, split=True)]
+    torsion = linalg._invariant_factors([d for k, part in parts for d in part.torsion * k])
+    return AbelianGroupSummary(coeff, sum(k * part.rank for k, part in parts),
                                tuple(d for d in torsion if d > 1))
 
 

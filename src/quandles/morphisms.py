@@ -79,18 +79,17 @@ class FiniteGroupTable:
         return self.table == tuple(zip(*self.table))
 
 
-def _search(x: Quandle, y: Quandle, bijective: bool = False):
-    """An iterator over the image tuples of the homs X -> Y in lex order,
-    branching on f(0), f(1), ...; the search advances only as the iterator is
-    read. One solver constraint f(a*g) = f(a)*f(g) per a != g, g a generator,
-    gives every pair's: the b with f(a*b) = f(a)*f(b) for all a are closed
-    under *, as a*(c*g) = ((a/g)*c)*g. The branch variables are the generators,
-    so the node counts are those of one constraint per pair a != b."""
+def _search(x: Quandle, y: Quandle, bijective: bool = False, v: int = 0, first=None):
+    """The image tuples of the homs X -> Y, as an iterator that advances as it is
+    read, branching on f(v) over first (default all of Y), then f(0), f(1), ...:
+    lex order by default. One solver constraint f(a*g) = f(a)*f(g) per a != g, g
+    a generator, gives every pair's: the b with f(a*b) = f(a)*f(b) for all a are
+    closed under *, as a*(c*g) = ((a/g)*c)*g. The branch variables are the
+    generators, so the node counts are those of one constraint per pair a != b."""
     sx, ty, by = x.table, y.table, y.bar_table
-    constraints = [(a, g, sx[a][g], ty, by)
-                   for g in x._gens for a in range(x.m) if a != g]
-    levels = plan(x.m, y.m, constraints, range(x.m), bijective)
-    return solve(x.m, y.m, levels, Budget("hom"), bijective)
+    constraints = [(a, g, sx[a][g], ty, by) for g in x._gens for a in range(x.m) if a != g]
+    levels = plan(x.m, y.m, constraints, [v, *range(x.m)], bijective)
+    return solve(x.m, y.m, levels, Budget("hom"), bijective, first)
 
 
 def homs(x: Quandle, y: Quandle):
@@ -145,8 +144,8 @@ def automorphism_group(q: Quandle):
 
 
 def inner_group(q: Quandle) -> FiniteGroupTable:
-    """The identity (for the empty quandle) and the columns S_y, closed under composition."""
-    gens = set(q._columns[0])  # the distinct columns
+    """The identity and the generators' columns, which generate Inn, closed under composition."""
+    gens = {q._columns[0][i] for i in q._gen_ids}  # the generators' distinct columns
     elems, pending = {*gens, tuple(q.elements)}, list(gens)
     while pending:
         a = pending.pop()

@@ -61,7 +61,7 @@ class Quandle:
     def _orbits(self) -> tuple:
         """(the least point of each element's Inn-orbit, and for each least point
         r the inner maps g with g(r) = e, one per other e of its orbit, as image
-        tuples), from one walk over the distinct columns S_y: g_(x*y) = S_y g_x."""
+        tuples), from one walk over the generators' distinct columns S_y: g_(x*y) = S_y g_x."""
         least, moves = [-1] * self.m, [[] for _ in self.elements]
         for start in self.elements:
             if least[start] >= 0:
@@ -69,7 +69,7 @@ class Quandle:
             least[start], pending = start, [(start, None)]  # None: the identity
             while pending:
                 x, g = pending.pop()
-                for col in self._columns[0]:
+                for col in map(self._columns[0].__getitem__, self._gen_ids):
                     if least[z := col[x]] < 0:
                         least[z] = start
                         moves[start].append(col if g is None else tuple(map(col.__getitem__, g)))

@@ -365,6 +365,14 @@ def test_group_table_answers_at_a_cap_of_its_cells(capsys, monkeypatch, argv, ce
     # of the whole slice's 4,320 cells; the 156 tuples listed first are
     # charged apart, and fewer
     (("cohomology", "P 3 (1 2 3)", "--degree", "3"), "cochain", 900, "Z^2"),
+    # R8's two blocks, of 4 * 7^(k-1) k-tuples, hold 196 * (28 + 1372) cells
+    # each; x -> x+1 swaps them, so one is built and both are charged
+    (("cohomology", "R 8", "--degree", "3"), "cochain", 2 * 196 * (28 + 1372),
+     "Z^2 (+) Z/2 (+) Z/2"),
+    # P4 (1 2)(3 4) has 18 blocks in 9 classes, as (1 3)(2 4) swaps the two
+    # orbits {1, 2} and {3, 4}: each class is built once and charged twice,
+    # 976 cells in all after the 420 tuples listed first
+    (("cohomology", "P 4 (1 2)(3 4)", "--degree", "3"), "cochain", 976, "Z^12"),
     # R5 is one block: c_3, c_4, c_5 = 5 * 4^(k-1) = 80, 320, 1280, so
     # delta_in and delta_out hold 320 * (80 + 1280) cells
     (("cohomology", "R 5", "--degree", "4"), "cochain", 320 * (80 + 1280), "Z/5"),
@@ -378,7 +386,8 @@ def test_group_table_answers_at_a_cap_of_its_cells(capsys, monkeypatch, argv, ce
     # 3^4 colorings of four unknots over T3, times its 3^3 endomorphisms
     (("quiver", str(FIXTURES / "unlink4.lnk"), "T 3"), "quiver", 3**4 * 3**3,
      "quiver with 81 vertices and 2187 edges"),
-], ids=["cohomology", "cohomology-blocks", "cohomology-R5-degree4", "cohomology-R3-degree8-rho",
+], ids=["cohomology", "cohomology-blocks", "cohomology-R8-classes", "cohomology-P4-classes",
+        "cohomology-R5-degree4", "cohomology-R3-degree8-rho",
         "homquandle", "quiver"])
 def test_builds_answer_at_a_cap_of_their_cells(capsys, monkeypatch, argv, what, cells, head):
     monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cells))

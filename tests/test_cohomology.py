@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from dataclasses import replace
 from itertools import compress, product
 
@@ -12,6 +14,7 @@ from helpers import (
     face_loop_coboundary_rows,
     product_tuple_basis,
     quandle_classes,
+    relabelled_table,
     sparse,
     symmetric_group_elements,
     two_kernel_symmetric_cohomology_z,
@@ -22,6 +25,7 @@ from quandles import (
     Cocycle2,
     Coeff,
     Quandle,
+    QuandleMap,
     SymmetricQuandle,
     boundary_matrix,
     cochain_slice,
@@ -396,7 +400,7 @@ def test_every_block_row_is_sorted_nonzero_pairs(name):
     q = load_quandle(name)
     for rho in [None] + [sym.rho for sym in good_involutions(q)]:
         for n in (2, 3):
-            for sl in cohomology._blocks(q, n, rho, split=True):
+            for _, sl in cohomology._blocks(q, n, rho, split=True):
                 assert (sl.relations is None) == (rho is None)
                 for rows, cols in ((sl.delta_in, sl.basis_below), (sl.delta_out, sl.basis),
                                    (sl.relations or (), sl.basis)):
@@ -534,12 +538,15 @@ def test_torsion_merges_across_blocks():
     # R4 with one more element 4 that acts, and is acted on, trivially. The
     # blocks with torsion in degree 4: x_1 in either orbit of R4, with no 4
     # (two Z/2) or with 4 once (one Z/2), and x_1 = 4 (two Z/2); the whole
-    # complex has all eight
+    # complex has all eight. x -> x+1 on R4, fixing 4, swaps R4's orbits, so
+    # the blocks with x_1 in R4 are built once each, for a class of two
     q = disjoint_union(dihedral(4), trivial(1))
     coeff = Coeff("Z")
-    torsion = [part.torsion for part in (cohomology._cohomology(sl, coeff)
-               for sl in cohomology._blocks(q, 4, None, split=True)) if part.torsion]
-    assert torsion == [(2, 2), (2,), (2, 2), (2,), (2, 2)]
+    classes = [(k, part.torsion) for k, part in ((k, cohomology._cohomology(sl, coeff))
+               for k, sl in cohomology._blocks(q, 4, None, split=True)) if part.torsion]
+    assert classes == [(2, (2, 2)), (2, (2,)), (1, (2, 2))]
+    torsion = [t for k, t in classes for _ in range(k)]
+    assert sorted(torsion) == sorted([(2, 2), (2,), (2, 2), (2,), (2, 2)])
     got = cohomology_Q(q, 4, "Z")
     assert [got] == whole_slice_cohomology(q, 4, ("Z",))
     assert str(got) == "Z^24" + " (+) Z/2" * 8
@@ -550,6 +557,73 @@ def test_torsion_merges_across_blocks():
         mp.setattr(cohomology, "_cohomology",
                    lambda sl, c: next(parts, AbelianGroupSummary(coeff, 0)))
         assert str(cohomology_Q(P3, 2, "Z")) == "Z^1 (+) Z/6"
+
+
+def _seeded_relabelling(q, seed):
+    return Quandle(relabelled_table(q.table, random.Random(seed).sample(range(q.m), q.m)))
+
+
+# every class of order 3-5 that is not trivial, with a seeded relabelling;
+# P(n, sigma) with two cycles of one length, fixed points included; and
+# quandles with two Inn-orbits that an automorphism swaps
+CLASS_QUANDLES = {
+    **{f"order {m} #{i}{' relabelled' * r}": (_seeded_relabelling(q, 100 * m + i) if r else q,
+                                              (2, 3) if r and m == 5 else (2, 3, 4))
+       for m in range(3, 6) for i, q in enumerate(quandle_classes(m)) for r in (0, 1)
+       if q != trivial(m)},
+    **{f"P{n} {format_cycles(sigma)}": (p_quandle(n, sigma), (2, 3, 4) if n < 6 else (2, 3))
+       for n in range(2, 7) for sigma in conjugacy_class_representatives(n)
+       if sigma.cycle_type[0] > 1 and max(Counter(sigma.cycle_type).values()) > 1},
+    **{f"R{m}": (dihedral(m), degrees)
+       for m, degrees in {4: (2, 3, 4), 6: (2, 3), 8: (2, 3), 10: (2,)}.items()},
+    "R3+R3": (disjoint_union(dihedral(3), dihedral(3)), (2, 3, 4)),
+    "R4+R4": (disjoint_union(dihedral(4), dihedral(4)), (2, 3)),
+}
+
+
+def _block_key(q, t):
+    """The word of orbits of t's first entry and of its inert entries."""
+    least, inert = q._orbits[0], cohomology._columns(q)[1]
+    return (least[t[0]],) + tuple(least[y] for y in t[1:] if inert[y])
+
+
+@pytest.mark.parametrize("name", CLASS_QUANDLES)
+def test_every_block_of_a_class_has_its_representatives_group(name, monkeypatch):
+    # each block is built alone, with the automorphism search made to find
+    # nothing, and its group is compared with its class representative's
+    q, degrees = CLASS_QUANDLES[name]
+    for n in degrees:
+        built = [(k, _block_key(q, sl.basis[0]), sl)
+                 for k, sl in cohomology._blocks(q, n, None, split=True)]
+        with monkeypatch.context() as mp:
+            mp.setattr(cohomology, "_search", lambda *args: iter(()))
+            alone = {_block_key(q, sl.basis[0]): (k, sl)
+                     for k, sl in cohomology._blocks(q, n, None, split=True)}
+        assert {k for k, _ in alone.values()} == {1}
+        rep = cohomology._classes(q, alone, q._orbits[0], cohomology._columns(q)[1])
+        size = Counter(rep.values())
+        assert {key: k for k, key, _ in built} == size, n
+        assert all(sl.basis == alone[key][1].basis for _, key, sl in built)
+        joined = [key for key in alone if size[rep[key]] > 1]
+        assert joined or name.startswith("order"), n  # each of the others has a swap
+        for coeff in map(Coeff.parse, COEFFS):
+            group = {key: cohomology._cohomology(alone[key][1], coeff) for key in joined}
+            assert all(group[key] == group[rep[key]] for key in joined), (n, coeff)
+
+
+def test_classes_refuse_a_map_that_is_not_an_automorphism(monkeypatch):
+    # R6's orbits are the evens and the odds: x -> x xor 1 swaps them but is
+    # not a hom, and the constant map to 1 is a hom that is not a bijection
+    q = dihedral(6)
+    swap, constant = (1, 0, 3, 2, 5, 4), (1,) * 6
+    assert not QuandleMap(q, q, swap).verify() and QuandleMap(q, q, constant).verify()
+    for f in (swap, constant):
+        with monkeypatch.context() as mp:
+            mp.setattr(cohomology, "_search", lambda *args: iter([f]))
+            with pytest.raises(AssertionError, match="not an automorphism"):
+                cohomology_Q(q, 2, "Z")
+    # the search finds x -> x+1 or another true automorphism: one block of two
+    assert [k for k, _ in cohomology._blocks(q, 2, None, split=True)] == [2]
 
 
 FACE_QUANDLES = {**UCT_QUANDLES, **{f"order 5 #{i}": q for i, q in enumerate(quandle_classes(5))}}
@@ -564,7 +638,7 @@ def test_only_a_trivial_quandle_has_a_slice_without_faces(name):
     is_trivial = all(set(row) == {x} for x, row in enumerate(q.table))
     for rho in [None] + [sym.rho for sym in good_involutions(q)][:3]:
         for n in (2, 3, 4) if q.m <= 6 else (2, 3):
-            slices = list(cohomology._blocks(q, n, rho, split=True))
+            slices = [sl for _, sl in cohomology._blocks(q, n, rho, split=True)]
             if is_trivial and rho is None:
                 assert [sl.basis for sl in slices] == [tuple(tuple_basis(q, n))], n
                 continue

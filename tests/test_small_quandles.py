@@ -11,13 +11,23 @@ from helpers import (
     brute_force_automorphisms,
     cell_law_defect,
     cell_scan_validate,
+    composition_table,
     conjugation_quandle,
     cycle_text,
+    inner_images,
     labelled_quandles,
     quandle_classes,
     relabelled_table,
 )
-from quandles import AxiomError, Quandle, dihedral, good_involutions, is_isomorphic, invariants
+from quandles import (
+    AxiomError,
+    Quandle,
+    dihedral,
+    good_involutions,
+    inner_group,
+    invariants,
+    is_isomorphic,
+)
 from quandles.cli import main
 
 ORDERS = range(1, 6)
@@ -62,6 +72,24 @@ def test_is_isomorphic_tells_the_classes_apart(classes):
             assert f is not None and f.verify(), q.table
             assert len(set(f.image)) == f.source.m == f.target.m, q.table
             assert all(is_isomorphic(q, other) is None for other, _ in classes[m] if other != q)
+
+
+def test_inner_group_and_orbits_come_from_the_generators_columns(classes):
+    # the generators' distinct columns generate Inn, so closing them gives the
+    # group and the orbits that closing every column does; S4's transpositions
+    # are generated by three of their six columns
+    zoo = [q for m in ORDERS for pair in classes[m] for q in pair] + [S4_TRANSPOSITIONS]
+    for q in zoo:
+        inn = inner_images(q)
+        assert inner_group(q).table == composition_table(inn).table, q.table
+        least, moves = q._orbits
+        for x in q.elements:
+            orbit = {g[x] for g in inn}
+            assert least[x] == min(orbit), q.table
+            # one inner map per other point of the orbit, taking its least point there
+            others = sorted(orbit - {x}) if least[x] == x else []
+            assert sorted(g[x] for g in moves[x]) == others, q.table
+            assert set(moves[x]) <= set(inn), q.table
 
 
 def _axiom_error(check, table):
