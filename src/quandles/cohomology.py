@@ -42,13 +42,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from operator import itemgetter
 
 from . import linalg
 from .invariants import SymmetricQuandle
-from .limits import Budget
+from .limits import Budget, SearchCapError
 from .morphisms import QuandleMap, _search
+from .permutations import Permutation
 from .quandle import Quandle
 
 
@@ -65,8 +67,7 @@ class Coeff:
         if text in ("Z", "Q"):
             return cls(text)
         if text.startswith("Z") and text[1:].isdigit():
-            p = int(text[1:])
-            root = math.isqrt(p)
+            root = math.isqrt(p := int(text[1:]))
             Budget("primality", root - 1)  # a node per trial divisor 2..root
             if p < 2 or any(p % d == 0 for d in range(2, root + 1)):
                 raise ValueError(f"modulus {p} is not prime")
@@ -86,10 +87,8 @@ class AbelianGroupSummary:
     torsion: tuple = ()
 
     def __str__(self) -> str:
-        if self.coeff.kind == "Q":
-            return f"Q^{self.rank}"
-        if self.coeff.kind == "Zp":
-            return f"F{self.coeff.p}^{self.rank}"
+        if self.coeff.kind != "Z":  # Q^r, or Fp^r for Zp
+            return f"{str(self.coeff).replace('Z', 'F')}^{self.rank}"
         parts = [f"Z^{self.rank}"] * bool(self.rank) + [f"Z/{d}" for d in self.torsion]
         return " (+) ".join(parts) or "0"
 
@@ -230,7 +229,7 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
             if slot == 1 or key in groups or not split:
                 groups.setdefault(key, ([], [], []))[slot].append(t)
         if slot == 1 and split and rho is None:  # keep the least key of each class
-            size = Counter(_classes(q, groups, orbit, columns[1]).values())
+            size = Counter(_classes(q, groups, orbit, columns, sum(sizes)).values())
             groups = {key: bases for key, bases in groups.items() if key in size}
     Budget("cochain", sum(size.get(key, 1) * len(b) * (len(lo) + len(hi) + rows * len(b))
                           for key, (lo, b, hi) in groups.items()))
@@ -238,28 +237,34 @@ def _blocks(q: Quandle, n: int, rho, split: bool):
         yield size.get(key, 1), cochain_slice(q, n, rho, (columns, bases))  # public, so traced
 
 
-def _classes(q: Quandle, keys, least, inert) -> dict:
+def _classes(q: Quandle, keys, least, columns, nodes: int) -> dict:
     """Each block key's class: the least key it reaches by the automorphisms found,
-    a checked f with f(least A) in B per two Inn-orbits A, B of one kind not joined."""
+    a checked f with f(least A) in B per two Inn-orbits A, B of one kind (size and
+    column cycle type, which f keeps) not joined, f(x) sought in x's kind, points
+    not inert first. One hom Budget of at most `nodes` bounds them; past it, none joins."""
     points = {r: [x for x in q.elements if least[x] == r] for r in dict.fromkeys(least)}
-    joined, moves, rep = {r: {r} for r in points}, [], {}  # joined: each orbit's class
-    for a in points:  # a kind: one size and inertness. B is the next orbit of a's kind,
-        # then each from the last: P(n, sigma) has a swap, then a shift joining the rest
-        kind = [b for b in points
-                if b > a and (len(points[b]), inert[b]) == (len(points[a]), inert[a])]
-        for b in (b for b in kind[:1] + kind[:0:-1] if b not in joined[a]):
-            for f in itertools.islice(_search(q, q, True, a, points[b]), 1):
-                if len(set(f)) != q.m or not QuandleMap(q, q, f).verify():
-                    raise AssertionError(f"automorphism search gave {f}, not an automorphism")
-                moves.append({r: least[f[r]] for r in points})
-                for r, s in moves[-1].items():  # joins the classes of r and f(r)
-                    joined.update(dict.fromkeys(both := joined[r] | joined[s], both))
+    kinds = [(len(points[least[x]]), Permutation(y + 1 for y in col).cycle_type)
+             for x, col in enumerate(columns[0])]
+    domains = {x: [y for y in q.elements if kinds[y] == kinds[x]] for x in q.elements}
+    joined, moves, rep, budget = {r: {r} for r in points}, [], {}, Budget("hom")
+    budget.cap, order = min(budget.cap, nodes), sorted(q.elements, key=columns[1].__getitem__)
+    with suppress(SearchCapError):  # B is the next orbit of a's kind, then each from the
+        for a in points:  # last: P(n, sigma) has a swap, then a shift joining the rest
+            kind = [b for b in points if b > a and kinds[b] == kinds[a]]
+            for b in (b for b in kind[:1] + kind[:0:-1] if b not in joined[a]):
+                for f in itertools.islice(_search(q, q, True, [a, *order],
+                                                  {**domains, a: points[b]}, budget), 1):
+                    if len(set(f)) != q.m or not QuandleMap(q, q, f).verify():
+                        raise AssertionError(f"automorphism search gave {f}, not an automorphism")
+                    moves.append({r: least[f[r]] for r in points})
+                    for r, s in moves[-1].items():  # joins the classes of r and f(r)
+                        joined.update(dict.fromkeys(both := joined[r] | joined[s], both))
     for key in sorted(keys):  # each class is walked from its least key
         stack = [] if key in rep else [rep.setdefault(key, key)]
         for k in stack:  # grows while walked
-            for image in {i for move in moves if (i := tuple(map(move.__getitem__, k))) not in rep}:
-                rep[image] = key
-                stack.append(image)
+            images = {i for move in moves if (i := tuple(map(move.__getitem__, k))) not in rep}
+            rep.update(dict.fromkeys(images, key))
+            stack += images
     return rep
 
 
@@ -336,10 +341,7 @@ class Cocycle2:
 
     @classmethod
     def from_pairs(cls, m: int, pairs: dict) -> "Cocycle2":
-        values = [[0] * m for _ in range(m)]
-        for (x, y), v in pairs.items():
-            values[x][y] = v
-        return cls(m, tuple(tuple(r) for r in values))
+        return cls(m, tuple(tuple(pairs.get((x, y), 0) for y in range(m)) for x in range(m)))
 
 
 def theta_cocycle(n: int) -> Cocycle2:

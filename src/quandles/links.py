@@ -234,7 +234,7 @@ def colorings(d: LinkDiagram, q: Quandle):
     least, moves = q._orbits
     found = []
     for colors in solve(d.n_arcs, q.m, levels, Budget("coloring"),
-                        first=[r for r in q.elements if least[r] == r]):
+                        domains={levels[0][0]: [r for r in q.elements if least[r] == r]}):
         found.append(colors)
         found += [tuple(map(g.__getitem__, colors)) for g in moves[colors[levels[0][0]]]]
     return [Coloring(colors) for colors in sorted(found)]

@@ -79,17 +79,17 @@ class FiniteGroupTable:
         return self.table == tuple(zip(*self.table))
 
 
-def _search(x: Quandle, y: Quandle, bijective: bool = False, v: int = 0, first=None):
+def _search(x: Quandle, y: Quandle, bijective=False, order=(), domains=None, budget=None):
     """The image tuples of the homs X -> Y, as an iterator that advances as it is
-    read, branching on f(v) over first (default all of Y), then f(0), f(1), ...:
-    lex order by default. One solver constraint f(a*g) = f(a)*f(g) per a != g, g
-    a generator, gives every pair's: the b with f(a*b) = f(a)*f(b) for all a are
-    closed under *, as a*(c*g) = ((a/g)*c)*g. The branch variables are the
-    generators, so the node counts are those of one constraint per pair a != b."""
+    read, charged to budget (default a new one), branching on f(v) for v in order,
+    then f(0), f(1), ..., f(v) over domains[v] (default all of Y): lex order by
+    default. One constraint f(a*g) = f(a)*f(g) per a != g, g a generator, gives
+    every pair's, as the b with f(a*b) = f(a)*f(b) for all a are closed under *
+    (a*(c*g) = ((a/g)*c)*g): the node counts are those of one per pair a != b."""
     sx, ty, by = x.table, y.table, y.bar_table
     constraints = [(a, g, sx[a][g], ty, by) for g in x._gens for a in range(x.m) if a != g]
-    levels = plan(x.m, y.m, constraints, [v, *range(x.m)], bijective)
-    return solve(x.m, y.m, levels, Budget("hom"), bijective, first)
+    levels = plan(x.m, y.m, constraints, [*order, *range(x.m)], bijective)
+    return solve(x.m, y.m, levels, budget or Budget("hom"), bijective, domains)
 
 
 def homs(x: Quandle, y: Quandle):
@@ -103,9 +103,7 @@ def endomorphisms(q: Quandle):
 
 def is_isomorphic(x: Quandle, y: Quandle) -> QuandleMap | None:
     """The lexicographically first bijective homomorphism X -> Y, else None."""
-    if x.m != y.m:
-        return None
-    found = next(_search(x, y, bijective=True), None)
+    found = next(_search(x, y, bijective=True), None) if x.m == y.m else None
     return None if found is None else QuandleMap(x, y, found)
 
 
@@ -171,8 +169,7 @@ def hom_quandle(x: Quandle, a: Quandle):
         raise ValueError("target quandle is not abelian")
     images = list(_search(x, a))
     Budget("homquandle", len(images) ** 3)
-    index = {image: i for i, image in enumerate(images)}
-    ta = a.table
+    index, ta = {image: i for i, image in enumerate(images)}, a.table
     table = [[index[tuple(ta[u][v] for u, v in zip(f, g))] for g in images] for f in images]
     return Quandle(table), images
 

@@ -6,10 +6,10 @@ known x and y fix z and known y and z fix x = B[z][y]. If T is latin and
 x != z, known x and z fix y by left division. What is known at each branch
 level depends on the branch order alone, so each constraint is one op, fixed in
 advance at the level where its third variable becomes known; given no order,
-the plan picks each branch variable. Levels try values in increasing order, one
-Budget node each; a last level with one variable left reads the values that
-pass from a bitmask ANDed in over the levels above (forward checking, Haralick
-& Elliott 1980).
+the plan picks each branch variable. Levels try values in increasing order, or
+a variable's domain in its order, one Budget node each; a last level with one
+variable left reads the values that pass from a bitmask ANDed in over the
+levels above (forward checking, Haralick & Elliott 1980).
 """
 
 from __future__ import annotations
@@ -108,11 +108,11 @@ def plan(n_vars: int, n: int, constraints, order=None, distinct: bool = False) -
     return levels
 
 
-def solve(n_vars: int, n: int, levels, budget: Budget, distinct: bool = False, first=None):
+def solve(n_vars: int, n: int, levels, budget: Budget, distinct: bool = False, domains=None):
     """The assignments (tuples of values) satisfying every constraint, in
     search order, found as the iterator is read. ``levels`` is the plan made
-    with the same ``distinct``, which requires all values to differ; ``first``
-    lists the values levels[0]'s variable tries (default range(n))."""
+    with the same ``distinct``, which requires all values to differ; ``domains``
+    maps a variable to the values it tries when branched on (default range(n))."""
     if not levels:
         yield ()
         return
@@ -120,7 +120,8 @@ def solve(n_vars: int, n: int, levels, budget: Budget, distinct: bool = False, f
     val, top, spend = [0] * n_vars, len(levels) - 1, budget.spend
     # acc[lvl]: the values taken above lvl if distinct, else those the masks allow
     acc = [0 if distinct else -1] * (top + 2)
-    tried, lvl, values = [None] * top, 0, iter(range(n) if first is None else first)
+    tries = [(domains or {}).get(v, range(n)) for v, *_ in levels]
+    tried, lvl, values = [None] * top, 0, iter(tries[0])
     while True:
         v, ops, assigned, masks = levels[lvl]
         if ops is None:  # the masked last level; its values are all tried here
@@ -151,7 +152,7 @@ def solve(n_vars: int, n: int, levels, budget: Budget, distinct: bool = False, f
                     bits &= rows(val[x])[val[y]]
                 acc[lvl + 1] = bits
                 if lvl < top:
-                    tried[lvl], lvl, values = values, lvl + 1, iter(range(n))
+                    tried[lvl], lvl, values = values, lvl + 1, iter(tries[lvl + 1])
                     break
                 yield tuple(val)
         else:  # every value tried: back to the level above

@@ -45,6 +45,7 @@ from quandles import (
 )
 from quandles import cohomology, linalg
 from quandles.cli import load_quandle
+from quandles.limits import SearchCapError
 
 P3 = p_quandle(2, parse_cycles("(1 2)", 2))
 
@@ -581,6 +582,11 @@ CLASS_QUANDLES = {
 }
 
 
+def _listed(q, n):
+    """The (n-1)-, n- and (n+1)-tuples that `_blocks` lists: the classes' hom budget."""
+    return sum(q.m * (q.m - 1) ** (k - 1) for k in (n - 1, n, n + 1))
+
+
 def _block_key(q, t):
     """The word of orbits of t's first entry and of its inert entries."""
     least, inert = q._orbits[0], cohomology._columns(q)[1]
@@ -600,7 +606,8 @@ def test_every_block_of_a_class_has_its_representatives_group(name, monkeypatch)
             alone = {_block_key(q, sl.basis[0]): (k, sl)
                      for k, sl in cohomology._blocks(q, n, None, split=True)}
         assert {k for k, _ in alone.values()} == {1}
-        rep = cohomology._classes(q, alone, q._orbits[0], cohomology._columns(q)[1])
+        rep = cohomology._classes(q, alone, q._orbits[0], cohomology._columns(q),
+                                  _listed(q, n))
         size = Counter(rep.values())
         assert {key: k for k, key, _ in built} == size, n
         assert all(sl.basis == alone[key][1].basis for _, key, sl in built)
@@ -624,6 +631,53 @@ def test_classes_refuse_a_map_that_is_not_an_automorphism(monkeypatch):
                 cohomology_Q(q, 2, "Z")
     # the search finds x -> x+1 or another true automorphism: one block of two
     assert [k for k, _ in cohomology._blocks(q, 2, None, split=True)] == [2]
+
+
+def _two_unjoined_orbits(head):
+    """head beside p, q, c, d, e, f with S_p = (c d), S_q = (c d)(e f) and every
+    other column the identity: {c, d} and {e, f} are inert orbits of one size
+    that no automorphism joins, as p and q, of two cycle types, are fixed."""
+    swaps = {0: {2: 3, 3: 2}, 1: {2: 3, 3: 2, 4: 5, 5: 4}}
+    gadget = Quandle([[swaps.get(y, {}).get(x, x) for y in range(6)] for x in range(6)])
+    return disjoint_union(head, gadget)
+
+
+def test_classes_answer_within_the_cochain_charge(monkeypatch):
+    # nine trivial points come first: a search that branched on them before
+    # p and q would try 9! maps. Every answer is the one each block alone
+    # gives, at a cap of the largest cochain charge: the 15 + 210 + 2,940
+    # tuples listed in degree 2 and the 2,340 + 44,310 + ... in degree 3
+    q = _two_unjoined_orbits(trivial(9))
+    with monkeypatch.context() as mp:
+        mp.setattr(cohomology, "_search", lambda *args: iter(()))
+        alone = {n: [cohomology_Q(q, n, c) for c in COEFFS] for n in (2, 3)}
+    assert [str(g) for g in alone[2]] == ["Z^156", "Q^156", "F2^156", "F3^156"]
+    for n, cap in ((2, _listed(q, 2)), (3, _listed(q, 3))):
+        monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cap))
+        assert [cohomology_Q(q, n, c) for c in COEFFS] == alone[n], n
+        monkeypatch.setenv("QUANDLE_SEARCH_CAP", str(cap - 1))
+        with pytest.raises(SearchCapError, match=f"^cochain search exceeded {cap - 1} nodes$"):
+            cohomology_Q(q, n, "Z")
+
+
+def test_classes_stop_joining_past_their_budget(monkeypatch):
+    # three R3s come first: the search that fails to join {c, d} with
+    # {e, f} tries every map of them before it reaches p, and passes the
+    # 3,165 tuples listed in degree 2. The R3s are joined before it; past
+    # it nothing more is joined, and every answer is unchanged
+    q = _two_unjoined_orbits(disjoint_union(disjoint_union(dihedral(3), dihedral(3)), dihedral(3)))
+    budgets, search = [], cohomology._search
+    with monkeypatch.context() as mp:
+        mp.setattr(cohomology, "_search", lambda *args: iter(()))
+        alone = [cohomology_Q(q, 2, c) for c in COEFFS]
+    monkeypatch.setattr(cohomology, "_search", lambda *args: budgets.append(args[-1]) or search(*args))
+    assert [cohomology_Q(q, 2, c) for c in COEFFS] == alone
+    assert {(b.nodes, b.cap) for b in budgets} == {(_listed(q, 2) + 1, _listed(q, 2))}
+    # the blocks of first entries 0, 3 and 6 (the R3s), with no inert entry,
+    # with one in {c, d} = {11, 12} or one in {e, f} = {13, 14}: three classes
+    classes = [(k, _block_key(q, sl.basis[0])) for k, sl in cohomology._blocks(q, 2, None, split=True)]
+    assert [key for k, key in classes if k > 1] == [(0,), (0, 11), (0, 13)]
+    assert {k for k, _ in classes} == {1, 3} and len(classes) == 15
 
 
 FACE_QUANDLES = {**UCT_QUANDLES, **{f"order 5 #{i}": q for i, q in enumerate(quandle_classes(5))}}

@@ -357,6 +357,12 @@ def test_solver_options():
     backward = list(planned_solve(3, 3, con, budget, order=[2, 1, 0]))
     assert sorted(backward) == every and budget.nodes == 3 + 9
     assert list(planned_solve(0, 3, [], Budget("test"))) == [()]
+    # a domain lists the values a branch variable tries, in its order, at any
+    # level: z over (2, 0), then y over (1,), one node per value tried
+    budget, levels = Budget("test"), plan(3, 3, con, [2, 1, 0])
+    assert list(solve(3, 3, levels, budget, domains={2: (2, 0), 1: (1,)})) == [
+        (r3.bar(2, 1), 1, 2), (r3.bar(0, 1), 1, 0)]
+    assert budget.nodes == 2 + 2
 
 
 @pytest.mark.parametrize("limit", (None, 1, 2, 8, 9, 10, 100))
